@@ -10,6 +10,8 @@ B_i(points[k])`` collocation matrix for any degree, and the explicit
 degree-1 form whose interior row k holds ``(1 - x_k, x_k)`` on the diagonal
 and superdiagonal with unit rows at both ends.  The second is what the
 quantum solver consumes; the first exists to cross-check it.
+:func:`as_matrix` is the one way the solvers and the readout turn a system,
+given as a :class:`DesignMatrix` or as an array, into a matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
     "basis_value",
     "design_matrix_general",
     "design_matrix_d1",
-    "hermitian_dilation",
+    "as_matrix",
 ]
 
 
@@ -110,14 +112,14 @@ class DesignMatrix:
     entries: np.ndarray
     points: np.ndarray
     knots: KnotVector | None
-    form: str  # "general" | "d1" | "dilated"
+    form: str  # "general" | "d1"
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"design matrix must be square, got {m.shape}")
         p = np.asarray(self.points, dtype=float).reshape(-1)
-        if self.form not in ("general", "d1", "dilated"):
+        if self.form not in ("general", "d1"):
             raise ValueError(f"unknown form {self.form!r}")
         m.flags.writeable = False
         p.flags.writeable = False
@@ -127,6 +129,16 @@ class DesignMatrix:
     @property
     def dimension(self) -> int:
         return self.entries.shape[0]
+
+
+def as_matrix(system: DesignMatrix | np.ndarray) -> np.ndarray:
+    """The square float matrix behind a :class:`DesignMatrix` or an array."""
+    if isinstance(system, DesignMatrix):
+        return system.entries
+    m = np.asarray(system, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got {m.shape}")
+    return m
 
 
 def design_matrix_general(kv: KnotVector, points: Sequence[float]) -> DesignMatrix:
@@ -173,27 +185,3 @@ def design_matrix_d1(points: Sequence[float]) -> DesignMatrix:
         entries[k, k] = 1.0 - pts[k]
         entries[k, k + 1] = pts[k]
     return DesignMatrix(entries=entries, points=pts, knots=uniform_knots(K, 1), form="d1")
-
-
-def hermitian_dilation(matrix: DesignMatrix | np.ndarray) -> DesignMatrix:
-    """Embed S into the Hermitian block matrix [[0, S], [S^dag, 0]].
-
-    Solving the dilated system against the padded target (Y, 0) recovers the
-    original solution in the lower half of the state, at the price of one
-    extra qubit.
-    """
-    if isinstance(matrix, DesignMatrix):
-        s = matrix.entries
-        points = matrix.points
-        knots = matrix.knots
-    else:
-        s = np.asarray(matrix, dtype=float)
-        points = np.array([])
-        knots = None
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"can only dilate a square matrix, got {s.shape}")
-    k = s.shape[0]
-    big = np.zeros((2 * k, 2 * k))
-    big[:k, k:] = s
-    big[k:, :k] = s.T
-    return DesignMatrix(entries=big, points=points, knots=knots, form="dilated")

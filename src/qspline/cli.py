@@ -2,7 +2,8 @@
 inspect matrix decompositions.
 
 Exit codes: 0 success, 1 bad arguments, 2 a fit that did not converge (the
-best effort is still written), 3 file I/O failure.
+best effort is still written) or that failed and wrote nothing, 3 file I/O
+failure.
 """
 
 from __future__ import annotations
@@ -208,7 +209,12 @@ def _write_outputs(rep: FitReport, out_dir: str, want_svg: bool) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_fit(settings: dict) -> int:
-    rep = pipeline.fit(_fit_config(settings))
+    config = _fit_config(settings)
+    try:
+        rep = pipeline.fit(config)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {config.function} fit failed: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     stem = _write_outputs(rep, settings["out"], settings["svg"])
     cost = "" if rep.final_cost is None else f"  cost {rep.final_cost:.3e}"
     print(f"{rep.function} K={rep.knots} mode={rep.mode}  NRMSE {rep.nrmse:.6e}{cost}")
@@ -237,12 +243,9 @@ def cmd_bench(settings: dict) -> int:
             reports[name] = None
             failed = True
 
-    try:
-        for rep in reports.values():
-            if rep is not None:
-                _write_outputs(rep, settings["out"], settings["svg"])
-    except OSError:
-        raise
+    for rep in reports.values():
+        if rep is not None:
+            _write_outputs(rep, settings["out"], settings["svg"])
 
     def cell(rep):
         return math.nan if rep is None else rep.nrmse
@@ -303,10 +306,7 @@ def cmd_decompose(settings: dict, block) -> int:
             raise UsageError(str(exc)) from exc
         target = np.array([[1.0 - a, a], [0.0, 1.0 - b]])
     elif settings["function"] is not None:
-        try:
-            cfg = _fit_config(settings)
-        except UsageError:
-            raise
+        cfg = _fit_config(settings)
         grid = sample_grid(cfg.knots, (0.0, 1.0))
         matrix = design_matrix_d1(grid).entries
         decomposition = pauli_decompose(matrix)

@@ -5,7 +5,8 @@ Two entry points:
 * :func:`decompose_block` handles the 2x2 spline block ``[[1-a, a], [0, 1-b]]``
   with the closed-form weights over {I, X, Z, Ry(3*pi)}.
 * :func:`pauli_decompose` expands any real power-of-two matrix over Pauli
-  strings via trace inner products, ``c_P = Tr(P A) / 2**n``.
+  strings, ``c_P = Tr(P A) / 2**n``, with one Walsh-Hadamard transform of
+  its XOR-shifted diagonals instead of 4**n trace inner products.
 
 Coefficients are always real.  Strings with an odd number of Y factors have
 purely imaginary trace coefficients against a real matrix, so the factor i
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .sim import RY_3PI, X, Y, Z
 
@@ -42,6 +43,8 @@ _PAULI_MATS = {
     "Z": Z.matrix,
 }
 _PAULI_GATES = {"X": X, "Y": Y, "Z": Z}
+# (x bit, z bit) of each factor in Y = i X Z
+_XZ_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -139,24 +142,15 @@ def decompose_block(a: float, b: float) -> LcuDecomposition:
     return LcuDecomposition(terms=terms, n_qubits=1)
 
 
-@lru_cache(maxsize=8)
-def _pauli_basis(n: int) -> tuple:
-    """All 4**n Pauli-string matrices for n qubits, with their labels."""
-    # string labels read left to right from qubit n-1 down to qubit 0,
-    # matching how bitstrings are written
-    strings = ["".join(s) for s in itertools.product("IXYZ", repeat=n)]
-    mats = np.empty((len(strings), 1 << n, 1 << n), dtype=complex)
-    for k, s in enumerate(strings):
-        m = np.array([[1.0 + 0.0j]])
-        for ch in s:
-            m = np.kron(m, _PAULI_MATS[ch])
-        mats[k] = m
-    mats.flags.writeable = False
-    return tuple(strings), mats
-
-
-def pauli_decompose(matrix: np.ndarray, cutoff: float = COEFF_CUTOFF) -> LcuDecomposition:
+def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     """Expand a real matrix over Pauli strings and fold phases to real terms.
+
+    With ``D[k, x] = A[k, k^x]`` and the Sylvester-Hadamard matrix H,
+    ``T = H D / 2**n`` holds ``T[z, x] = Tr(X^x Z^z A) / 2**n``.  A string
+    with y Y factors equals ``i**y X^x Z^z``, so its coefficient is
+    ``i**y T[z, x]``, real for even y and ``i`` times a real for odd y; the
+    real weight in both cases is ``(-1)**(y // 2) * T[z, x]``.  Terms come
+    out in ``product("IXYZ")`` order, qubit n-1 leftmost in the label.
 
     Raises if the matrix is not real, not square, or not of power-of-two
     size, and double-checks that the retained terms rebuild the input with
@@ -175,23 +169,23 @@ def pauli_decompose(matrix: np.ndarray, cutoff: float = COEFF_CUTOFF) -> LcuDeco
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"matrix size must be a power of two >= 2, got {dim}")
 
-    strings, mats = _pauli_basis(n)
-    # Tr(P A) = sum_ij P_ij A_ji; Pauli strings are Hermitian
-    coeffs = np.einsum("kij,ji->k", mats, m.astype(complex)) / dim
+    idx = np.arange(dim)
+    walsh = hadamard(dim, dtype=float) @ m[idx[:, None], idx[:, None] ^ idx] / dim
 
     terms = []
-    for s, c in zip(strings, coeffs):
-        odd_y = s.count("Y") % 2 == 1
-        real_part = c.imag if odd_y else c.real
-        stray = c.real if odd_y else c.imag
-        if abs(stray) > 1e-12:
-            raise ValueError(f"unexpected coefficient {c} for string {s}")
-        if abs(real_part) < cutoff:
+    for chars in itertools.product("IXYZ", repeat=n):
+        x = z = 0
+        for ch in chars:  # chars[0] acts on qubit n-1
+            bx, bz = _XZ_BITS[ch]
+            x, z = (x << 1) | bx, (z << 1) | bz
+        n_y = chars.count("Y")
+        coefficient = (-1) ** (n_y // 2) * walsh[z, x]
+        if abs(coefficient) < COEFF_CUTOFF:
             continue
+        s = "".join(chars)
+        odd_y = n_y % 2
         # string labels read qubit n-1 on the left, matching bitstrings
-        per_qubit = s[::-1]
-        label = ("i*" if odd_y else "") + s
-        terms.append(LcuTerm(float(real_part), per_qubit, 1 if odd_y else 0, label))
+        terms.append(LcuTerm(float(coefficient), s[::-1], odd_y, ("i*" if odd_y else "") + s))
     decomp = LcuDecomposition(terms=tuple(terms), n_qubits=n)
 
     residue = reconstruct(decomp)

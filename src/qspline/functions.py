@@ -13,7 +13,6 @@ __all__ = [
     "TARGETS",
     "sample_grid",
     "minmax_normalize",
-    "minmax_denormalize",
     "target_values",
     "nrmse",
 ]
@@ -69,11 +68,6 @@ def minmax_normalize(values: Sequence[float]) -> tuple[np.ndarray, tuple[float, 
     if hi - lo < 1e-300:
         raise ValueError("cannot normalize a constant sample set")
     return (v - lo) / (hi - lo), (lo, hi)
-
-
-def minmax_denormalize(values: Sequence[float], bounds: tuple[float, float]) -> np.ndarray:
-    lo, hi = bounds
-    return np.asarray(values, dtype=float) * (hi - lo) + lo
 
 
 def target_values(fn: TargetFunction, xs: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:

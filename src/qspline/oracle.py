@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import DesignMatrix, design_matrix_d1
+from .bspline import DesignMatrix, as_matrix, design_matrix_d1
 from .functions import TARGETS, nrmse, sample_grid, target_values
 from .report import FitReport
 
@@ -79,10 +79,8 @@ def _eliminate(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def solve_exact(matrix: DesignMatrix | np.ndarray, y: np.ndarray) -> ExactSolution:
     """Solve ``S beta = y`` classically, picking the solver by matrix shape."""
-    m = matrix.entries if isinstance(matrix, DesignMatrix) else np.asarray(matrix, dtype=float)
+    m = as_matrix(matrix)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
     if y.size != m.shape[0]:
         raise ValueError(f"rhs has length {y.size}, matrix is {m.shape[0]}x{m.shape[0]}")
     if _is_upper_bidiagonal(m):
@@ -135,6 +133,5 @@ def fit_classical(function: str, knots: int, degree: int = 1) -> FitReport:
         converged=True,
         restarts_used=0,
         mean_bias=float(np.mean(estimates - y01)),
-        dilated=False,
         wall_seconds=time.perf_counter() - started,
     )

@@ -41,9 +41,7 @@ class FitConfig:
     seed: int = 42
     ansatz: str = "tree"  # "tree" | "layered"
     layers: int | None = None
-    optimizer: str = "gd"
     max_iter: int = 2000
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.function not in TARGETS:
@@ -83,9 +81,7 @@ def fit(config: FitConfig) -> FitReport:
     solve_cfg = vqls.SolveConfig(
         mode=config.mode,
         shots=config.shots,
-        optimizer=config.optimizer,
         max_iter=config.max_iter,
-        tol=config.tol,
         restarts=config.restarts,
         seed=config.seed,
     )
@@ -120,15 +116,15 @@ def fit(config: FitConfig) -> FitReport:
             "kind": ansatz_cfg.kind,
             "n_qubits": ansatz_cfg.n_qubits,
             "layers": ansatz_cfg.resolved_layers if ansatz_cfg.kind == "layered" else None,
-            "entangler": ansatz_cfg.entangler if ansatz_cfg.kind == "layered" else None,
+            "entangler": vqls.ENTANGLER if ansatz_cfg.kind == "layered" else None,
             "n_params": ansatz_cfg.n_params,
         },
         optimizer={
-            "name": solve_cfg.optimizer,
-            "learning_rate": solve_cfg.learning_rate,
-            "fd_step": solve_cfg.fd_step,
+            "name": "gd",
+            "learning_rate": vqls.LEARNING_RATE,
+            "fd_step": vqls.FD_STEP,
             "max_iter": solve_cfg.max_iter,
-            "tol": solve_cfg.tol,
+            "tol": vqls.TOL,
             "restarts": solve_cfg.restarts,
         },
         seed=config.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sim
-from .bspline import DesignMatrix
+from .bspline import as_matrix
 
 __all__ = [
     "RowEncoding",
@@ -30,12 +30,16 @@ SCALE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RowEncoding:
-    """One matrix row prepared for overlap estimation (1-based index)."""
+    """One matrix row prepared for overlap estimation (1-based index).
+
+    ``ops`` is the amplitude-encoding circuit that prepares ``state``.
+    """
 
     index: int
     row: np.ndarray
     norm: float
     state: sim.QuantumState
+    ops: tuple
 
     def __post_init__(self):
         rebuilt = self.state.amplitudes.real * self.norm
@@ -52,15 +56,6 @@ class EstimateVector:
     sign: float
 
 
-def _matrix_of(system) -> np.ndarray:
-    if isinstance(system, DesignMatrix):
-        return system.entries
-    m = np.asarray(system, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _real_state_vector(state: sim.QuantumState) -> np.ndarray:
     amps = state.amplitudes
     residue = float(np.max(np.abs(amps.imag)))
@@ -74,7 +69,7 @@ def _real_state_vector(state: sim.QuantumState) -> np.ndarray:
 
 def encode_row(system, k: int) -> RowEncoding:
     """Amplitude-encode the k-th row (1-based) of the system matrix."""
-    matrix = _matrix_of(system)
+    matrix = as_matrix(system)
     dim = matrix.shape[0]
     if not 1 <= k <= dim:
         raise ValueError(f"row index must be in 1..{dim}, got {k}")
@@ -83,7 +78,31 @@ def encode_row(system, k: int) -> RowEncoding:
     if norm < SCALE_TOL:
         raise ValueError(f"row {k} is zero and cannot be normalized")
     prep = sim.amplitude_encode(row)
-    return RowEncoding(index=k, row=row, norm=norm, state=prep.state)
+    return RowEncoding(index=k, row=row, norm=norm, state=prep.state, ops=prep.ops)
+
+
+def _beta_ops(beta: np.ndarray, mode: str, shots: int | None):
+    """Check the readout mode; in shots mode, the circuit preparing beta."""
+    if mode == "exact":
+        return None
+    if mode == "shots":
+        if not shots or shots < 1:
+            raise ValueError("shots mode needs a positive shot count")
+        return list(sim.amplitude_encode(beta).ops)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _overlap(
+    encoding: RowEncoding,
+    beta: np.ndarray,
+    beta_ops: list | None,
+    n_qubits: int,
+    shots: int | None,
+    seed: int | None,
+) -> float:
+    if beta_ops is None:
+        return float(encoding.state.amplitudes.real @ beta)
+    return sim.hadamard_test(list(encoding.ops), beta_ops, n_qubits, shots=shots, seed=seed)
 
 
 def row_overlap(
@@ -97,21 +116,8 @@ def row_overlap(
     """Re<x'_k|beta'> with the k-th row normalized to a unit state."""
     encoding = encode_row(system, k)
     beta = _real_state_vector(beta_state)
-    if mode == "exact":
-        return float(encoding.state.amplitudes.real @ beta)
-    if mode == "shots":
-        if not shots or shots < 1:
-            raise ValueError("shots mode needs a positive shot count")
-        row_prep = sim.amplitude_encode(encoding.row)
-        beta_prep = sim.amplitude_encode(beta)
-        return sim.hadamard_test(
-            list(row_prep.ops),
-            list(beta_prep.ops),
-            beta_state.n_qubits,
-            shots=shots,
-            seed=seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    beta_ops = _beta_ops(beta, mode, shots)
+    return _overlap(encoding, beta, beta_ops, beta_state.n_qubits, shots, seed)
 
 
 def recover_estimates(
@@ -128,8 +134,10 @@ def recover_estimates(
     the overall sign.  The returned values approximate ``y_norm`` itself.
     Flipping the sign of ``beta_state`` flips both every overlap and the
     sign correction, so the output is unchanged bit for bit in exact mode.
+    Shots mode encodes beta once and each row once, and gives row k the k-th
+    draw of ``SeedSequence(seed)``.
     """
-    matrix = _matrix_of(system)
+    matrix = as_matrix(system)
     dim = matrix.shape[0]
     y = np.asarray(y_norm, dtype=float).reshape(-1)
     if y.size != dim:
@@ -145,18 +153,13 @@ def recover_estimates(
     scale = 1.0 / mapped_norm
     sign = -1.0 if float(y @ mapped) < 0.0 else 1.0
 
-    if mode == "shots":
+    beta_ops = _beta_ops(beta, mode, shots)
+    if beta_ops is not None:
         row_seeds = np.random.SeedSequence(seed).generate_state(dim)
     values = np.empty(dim)
     for k in range(1, dim + 1):
-        norm_k = float(np.linalg.norm(matrix[k - 1]))
-        overlap = row_overlap(
-            matrix,
-            k,
-            beta_state,
-            mode=mode,
-            shots=shots,
-            seed=int(row_seeds[k - 1]) if mode == "shots" else None,
-        )
-        values[k - 1] = sign * norm_k * overlap * scale
+        encoding = encode_row(matrix, k)
+        row_seed = int(row_seeds[k - 1]) if beta_ops is not None else None
+        overlap = _overlap(encoding, beta, beta_ops, beta_state.n_qubits, shots, row_seed)
+        values[k - 1] = sign * encoding.norm * overlap * scale
     return EstimateVector(values=values, scale=scale, sign=sign)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 __all__ = ["FitReport", "format_number", "CSV_HEADER"]
 
 CSV_HEADER = "x,y_target,y_estimate"
@@ -47,7 +45,6 @@ class FitReport:
     converged: bool
     restarts_used: int
     mean_bias: float
-    dilated: bool = False
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
 
@@ -60,12 +57,6 @@ class FitReport:
 
     def triples(self) -> list[tuple[float, float, float]]:
         return list(zip(self.xs, self.y_target, self.y_estimate))
-
-    def recomputed_nrmse(self) -> float:
-        est = np.asarray(self.y_estimate)
-        tgt = np.asarray(self.y_target)
-        span = tgt.max() - tgt.min()
-        return float(np.sqrt(np.mean((est - tgt) ** 2)) / span)
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]

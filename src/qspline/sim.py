@@ -24,7 +24,6 @@ __all__ = [
     "Gate",
     "QuantumState",
     "Preparation",
-    "ShotCounts",
     "I",
     "X",
     "Y",
@@ -46,7 +45,6 @@ __all__ = [
     "tree_angle_count",
     "controlled_ops",
     "hadamard_test",
-    "sample",
     "states_close",
 ]
 
@@ -384,38 +382,6 @@ def hadamard_test(
     rng = np.random.default_rng(seed)
     n1 = rng.binomial(shots, p1)
     return (shots - 2 * n1) / shots
-
-
-def sample(state: QuantumState, shots: int, seed: int | None = None) -> "ShotCounts":
-    """Draw measurement outcomes in the computational basis."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    outcome_map = {int(i): int(c) for i, c in enumerate(counts) if c}
-    return ShotCounts(counts=outcome_map, shots=shots, seed=seed)
-
-
-@dataclass(frozen=True)
-class ShotCounts:
-    """Histogram of sampled basis states, keyed by amplitude index."""
-
-    counts: dict
-    shots: int
-    seed: int | None
-
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
-
-    def frequency(self, outcome: int) -> float:
-        return self.counts.get(outcome, 0) / self.shots
-
-    def bitstring(self, outcome: int, n_qubits: int) -> str:
-        return format(outcome, f"0{n_qubits}b")
 
 
 def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-10) -> bool:

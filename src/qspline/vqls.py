@@ -3,8 +3,7 @@
 The global cost ``C(theta) = 1 - |<Y|psi>|^2 / <psi|psi>`` with
 ``|psi> = S V(theta)|0>`` vanishes exactly when the prepared state solves
 the (normalized) system, and it never needs S to be Hermitian, so the
-bidiagonal spline matrix is solved directly; the Hermitian dilation stays
-available upstream for callers who want it.
+bidiagonal spline matrix is solved directly.
 
 Exact mode evaluates the cost straight from matrix algebra.  Shots mode
 assembles the same quantity from Hadamard tests over pairs of terms of an
@@ -23,8 +22,8 @@ import numpy as np
 from scipy import optimize
 
 from . import sim
-from .bspline import DesignMatrix
-from .decomp import LcuDecomposition, pauli_decompose, reconstruct
+from .bspline import as_matrix
+from .decomp import LcuDecomposition, pauli_decompose
 
 __all__ = [
     "AnsatzConfig",
@@ -37,6 +36,15 @@ __all__ = [
     "cost_global",
     "solve",
 ]
+
+ENTANGLER = "linear-cz"  # CZ on each neighbouring pair (q, q+1)
+
+# step sizes and stopping thresholds of the descent loop, in both modes
+LEARNING_RATE = 0.1
+FD_STEP = 1e-4
+TOL = 1e-9  # stop once an accepted step improves the cost by less
+STOP_COST = 1e-8  # good enough to skip the remaining restarts
+SUCCESS_COST = 1e-3  # below this the solve counts as converged
 
 
 def default_layers(n_qubits: int) -> int:
@@ -54,16 +62,15 @@ class AnsatzConfig:
     """Shape of the trial-state circuit.
 
     ``layered`` (default) is an initial Ry rotation on every qubit followed
-    by ``layers`` blocks of [entangler, Ry on every qubit]; all rotations are
-    real, so the circuit sweeps real unit vectors.  ``tree`` reuses the
-    multiplexed-rotation template of amplitude encoding with free angles,
-    which can express any real state exactly and accepts encoding angles as
-    a known-good parameter vector.
+    by ``layers`` blocks of [CZ on each neighbouring pair, Ry on every
+    qubit]; all rotations are real, so the circuit sweeps real unit vectors.
+    ``tree`` reuses the multiplexed-rotation template of amplitude encoding
+    with free angles, which can express any real state exactly and accepts
+    encoding angles as a known-good parameter vector.
     """
 
     n_qubits: int
     layers: int | None = None
-    entangler: str = "linear-cz"  # "linear-cz" | "ring-cz" | "none"
     kind: str = "layered"  # "layered" | "tree"
 
     def __post_init__(self):
@@ -71,8 +78,6 @@ class AnsatzConfig:
             raise ValueError("need at least one qubit")
         if self.kind not in ("layered", "tree"):
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
-        if self.entangler not in ("linear-cz", "ring-cz", "none"):
-            raise ValueError(f"unknown entangler {self.entangler!r}")
         if self.layers is not None and self.layers < 0:
             raise ValueError("layers must be non-negative")
 
@@ -87,14 +92,8 @@ class AnsatzConfig:
         return self.n_qubits * (self.resolved_layers + 1)
 
 
-def _entangler_pairs(config: AnsatzConfig) -> tuple:
-    n = config.n_qubits
-    if config.entangler == "none" or n == 1:
-        return ()
-    pairs = [(q, q + 1) for q in range(n - 1)]
-    if config.entangler == "ring-cz" and n > 2:
-        pairs.append((n - 1, 0))
-    return tuple(pairs)
+def _entangler_pairs(n_qubits: int) -> tuple:
+    return tuple((q, q + 1) for q in range(n_qubits - 1))
 
 
 def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
@@ -108,17 +107,17 @@ def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
     ops = [(sim.ry(theta[q]), (q,)) for q in range(n)]
     pos = n
     for _ in range(config.resolved_layers):
-        ops.extend((sim.CZ, pair) for pair in _entangler_pairs(config))
+        ops.extend((sim.CZ, pair) for pair in _entangler_pairs(n))
         ops.extend((sim.ry(theta[pos + q]), (q,)) for q in range(n))
         pos += n
     return tuple(ops)
 
 
-@lru_cache(maxsize=32)
-def _cz_mask(n_qubits: int, pairs: tuple) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _cz_mask(n_qubits: int) -> np.ndarray:
     signs = np.ones(1 << n_qubits)
     idx = np.arange(1 << n_qubits)
-    for a, b in pairs:
+    for a, b in _entangler_pairs(n_qubits):
         both = ((idx >> a) & 1) & ((idx >> b) & 1)
         signs = signs * np.where(both, -1.0, 1.0)
     signs.flags.writeable = False
@@ -155,8 +154,7 @@ def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndar
     vec[0] = 1.0
     for q in range(n):
         _rotate_inplace(vec, q, theta[q])
-    pairs = _entangler_pairs(config)
-    mask = _cz_mask(n, pairs) if pairs else None
+    mask = _cz_mask(n) if n > 1 else None
     pos = n
     for _ in range(config.resolved_layers):
         if mask is not None:
@@ -174,24 +172,6 @@ def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumSta
 # ----------------------------------------------------------------------------
 # cost
 # ----------------------------------------------------------------------------
-
-def _system_matrix(system) -> np.ndarray:
-    if isinstance(system, DesignMatrix):
-        return system.entries
-    if isinstance(system, LcuDecomposition):
-        rebuilt = reconstruct(system)
-        return rebuilt.real
-    m = np.asarray(system, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"system must be a square matrix, got {m.shape}")
-    return m
-
-
-def _system_lcu(system) -> LcuDecomposition:
-    if isinstance(system, LcuDecomposition):
-        return system
-    return pauli_decompose(_system_matrix(system))
-
 
 def _y_vector(y_state) -> np.ndarray:
     if isinstance(y_state, sim.QuantumState):
@@ -274,11 +254,11 @@ def cost_global(
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with Y."""
     y = _y_vector(y_state)
     if mode == "exact":
-        return _exact_cost(_system_matrix(system), y, config, theta)
+        return _exact_cost(as_matrix(system), y, config, theta)
     if mode == "shots":
         if not shots or shots < 1:
             raise ValueError("shots mode needs a positive shot count")
-        return _shots_cost(_system_lcu(system), y, config, theta, shots, seed)
+        return _shots_cost(pauli_decompose(as_matrix(system)), y, config, theta, shots, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -288,25 +268,17 @@ def cost_global(
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Optimizer and sampling knobs for :func:`solve`."""
+    """Sampling, iteration and restart settings for :func:`solve`."""
 
     mode: str = "exact"  # "exact" | "shots"
     shots: int = 10_000
-    optimizer: str = "gd"  # "gd" (finite-difference gradient descent) | "simplex"
-    learning_rate: float = 0.1
-    fd_step: float = 1e-4
     max_iter: int = 2000
-    tol: float = 1e-9  # stop once an accepted step improves the cost by less
     restarts: int = 5
     seed: int = 42
-    stop_cost: float = 1e-8  # good enough to skip the remaining restarts
-    success_cost: float = 1e-3  # below this the solve counts as converged
 
     def __post_init__(self):
         if self.mode not in ("exact", "shots"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.optimizer not in ("gd", "simplex"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         if self.max_iter < 1:
@@ -339,7 +311,7 @@ def _fd_gradient(f: Callable, theta: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
-def _descend(f: Callable, theta0: np.ndarray, cfg: SolveConfig, max_iter: int):
+def _descend(f: Callable, theta0: np.ndarray, max_iter: int):
     """First-order descent with central differences and backtracking halving.
 
     The trial step starts from a Barzilai-Borwein estimate when history is
@@ -352,11 +324,11 @@ def _descend(f: Callable, theta0: np.ndarray, cfg: SolveConfig, max_iter: int):
     prev_theta = None
     prev_grad = None
     for _ in range(max_iter):
-        grad = _fd_gradient(f, theta, cfg.fd_step)
+        grad = _fd_gradient(f, theta, FD_STEP)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0 or not np.isfinite(gnorm2):
             break
-        alpha = cfg.learning_rate
+        alpha = LEARNING_RATE
         if prev_grad is not None:
             s = theta - prev_theta
             dg = grad - prev_grad
@@ -380,65 +352,42 @@ def _descend(f: Callable, theta0: np.ndarray, cfg: SolveConfig, max_iter: int):
         improvement = cost - new_cost
         cost = new_cost
         trace.append(cost)
-        if cost <= 1e-15 or improvement < cfg.tol:
+        if cost <= 1e-15 or improvement < TOL:
             break
     return theta, cost, trace
 
 
-def _minimize_gd(f: Callable, theta0: np.ndarray, cfg: SolveConfig):
+def _minimize_gd(f: Callable, theta0: np.ndarray, max_iter: int):
     """Gradient descent, then a quasi-Newton polish with the same gradients.
 
     The spline systems are ill-conditioned (squared condition number near
     1e8 for 16 knots), so step-halving descent stalls in a narrow curved
-    valley where per-step improvement drops below ``tol`` long before the
+    valley where per-step improvement drops below ``TOL`` long before the
     basin floor.  A BFGS pass fed by the identical central-difference
     gradients models that curvature and keeps descending; a short descent
     re-run between passes restarts the step-size history.  The returned
     trace stays non-increasing because only improvements are appended.
     """
-    theta, cost, trace = _descend(f, theta0, cfg, cfg.max_iter)
+    theta, cost, trace = _descend(f, theta0, max_iter)
     for _ in range(2):
-        if cost <= cfg.stop_cost:
+        if cost <= STOP_COST:
             break
         result = optimize.minimize(
             f,
             theta,
-            jac=lambda x: _fd_gradient(f, x, cfg.fd_step),
+            jac=lambda x: _fd_gradient(f, x, FD_STEP),
             method="BFGS",
-            options={"maxiter": cfg.max_iter, "gtol": 1e-14},
+            options={"maxiter": max_iter, "gtol": 1e-14},
         )
         polished = float(result.fun)
         if np.isfinite(polished) and polished < cost:
             theta, cost = np.asarray(result.x, dtype=float), polished
             trace.append(cost)
-        theta2, cost2, _ = _descend(f, theta, cfg, max(cfg.max_iter // 4, 1))
+        theta2, cost2, _ = _descend(f, theta, max(max_iter // 4, 1))
         if cost2 < cost:
             theta, cost = theta2, cost2
             trace.append(cost)
     return theta, cost, trace
-
-
-def _minimize_simplex(f: Callable, theta0: np.ndarray, cfg: SolveConfig):
-    trace = [f(theta0)]
-
-    def record(xk):
-        trace.append(min(trace[-1], f(xk)))
-
-    result = optimize.minimize(
-        f,
-        theta0,
-        method="Nelder-Mead",
-        callback=record,
-        options={
-            "maxiter": cfg.max_iter,
-            "xatol": 1e-8,
-            "fatol": cfg.tol,
-            "adaptive": True,
-        },
-    )
-    best = min(trace[-1], float(result.fun))
-    theta = result.x if result.fun <= trace[-1] else theta0
-    return np.asarray(theta, dtype=float), best, trace
 
 
 def solve(
@@ -452,10 +401,10 @@ def solve(
     ``y`` may be a raw vector (it is normalized here) or a QuantumState.
     Restart i draws its starting point from the substream (seed, i); results
     merge by lowest final cost with the earlier restart winning ties, and
-    the loop stops early once a restart lands below ``stop_cost``.
+    the loop stops early once a restart lands below ``STOP_COST``.
     """
     cfg = config or SolveConfig()
-    matrix = _system_matrix(system)
+    matrix = as_matrix(system)
     dim = matrix.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
@@ -471,8 +420,7 @@ def solve(
     if y_vec.size != dim:
         raise ValueError(f"target has length {y_vec.size}, system is {dim}x{dim}")
 
-    lcu = _system_lcu(system) if cfg.mode == "shots" else None
-    minimize = _minimize_gd if cfg.optimizer == "gd" else _minimize_simplex
+    lcu = pauli_decompose(matrix) if cfg.mode == "shots" else None
 
     best = None
     restarts_used = 0
@@ -485,10 +433,10 @@ def solve(
         else:
             noise_seed = int(rng.integers(0, 2**31 - 1))
             f = lambda t: _shots_cost(lcu, y_vec, ans, t, cfg.shots, noise_seed)
-        theta, cost, trace = minimize(f, theta0, cfg)
+        theta, cost, trace = _minimize_gd(f, theta0, cfg.max_iter)
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
-        if best[1] <= cfg.stop_cost:
+        if best[1] <= STOP_COST:
             break
 
     theta, cost, trace = best
@@ -497,7 +445,7 @@ def solve(
         beta_state=ansatz_state(ans, theta),
         final_cost=float(cost),
         cost_trace=tuple(float(c) for c in trace),
-        converged=bool(cost <= cfg.success_cost),
+        converged=bool(cost <= SUCCESS_COST),
         restarts_used=restarts_used,
         seed=cfg.seed,
         ansatz=ans,

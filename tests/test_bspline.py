@@ -111,15 +111,3 @@ def test_interior_rows_carry_the_point_coordinates():
     assert dm.entries[2, 2] == pytest.approx(0.5)
     assert dm.entries[2, 3] == pytest.approx(0.5)
 
-
-def test_hermitian_dilation_blocks():
-    dm = bspline.design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0]))
-    dil = bspline.hermitian_dilation(dm)
-    m = dil.entries
-    assert dil.form == "dilated"
-    assert m.shape == (8, 8)
-    assert np.allclose(m[:4, :4], 0.0)
-    assert np.allclose(m[4:, 4:], 0.0)
-    assert np.allclose(m[:4, 4:], dm.entries)
-    assert np.allclose(m[4:, :4], dm.entries.T)
-    assert np.allclose(m, m.T)

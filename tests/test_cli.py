@@ -81,6 +81,17 @@ def test_shots_mode_runs_quickly_on_the_smallest_grid(tmp_path):
     assert len(lines) == 3
 
 
+def test_singular_system_fit_fails_with_one_line_and_no_files(tmp_path, capsys):
+    # cond(S) is about 2.5e18 at K=64, so the solver refuses before optimizing
+    rc = cli.main(["fit", "--function", "sin", "--knots", "64",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "singular" in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_function_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["fit", "--out", str(tmp_path)])
     assert rc == 1

@@ -1,5 +1,7 @@
 """Pauli / unitary-sum decomposition tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,59 @@ from qspline.functions import sample_grid
 
 def _block(a, b):
     return np.array([[1.0 - a, a], [0.0, 1.0 - b]])
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def _reference_decompose(matrix):
+    """Dense trace inner products ``Tr(P A) / 2**n`` over all 4**n strings.
+
+    Returns (label, paulis, phase, coefficient) tuples in the order and with
+    the cutoff of :func:`decomp.pauli_decompose`.
+    """
+    dim = matrix.shape[0]
+    n = dim.bit_length() - 1
+    terms = []
+    for chars in itertools.product("IXYZ", repeat=n):
+        pauli = np.array([[1.0 + 0.0j]])
+        for ch in chars:
+            pauli = np.kron(pauli, _PAULI[ch])
+        c = np.trace(pauli @ matrix) / dim
+        odd_y = chars.count("Y") % 2
+        real_part = c.imag if odd_y else c.real
+        assert abs(c.real if odd_y else c.imag) < 1e-12
+        if abs(real_part) < decomp.COEFF_CUTOFF:
+            continue
+        s = "".join(chars)
+        terms.append((("i*" if odd_y else "") + s, s[::-1], odd_y, float(real_part)))
+    return terms
+
+
+def _random_matrix(rng, n_qubits, sparse):
+    dim = 1 << n_qubits
+    matrix = rng.uniform(-2.0, 2.0, (dim, dim))
+    if sparse:
+        matrix[rng.uniform(size=(dim, dim)) < 0.8] = 0.0
+    return matrix
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_walsh_hadamard_matches_trace_reference(n_qubits, sparse):
+    rng = np.random.default_rng(100 * n_qubits + sparse)
+    for _ in range(3 if n_qubits == 5 else 10):
+        matrix = _random_matrix(rng, n_qubits, sparse)
+        got = decomp.pauli_decompose(matrix).terms
+        want = _reference_decompose(matrix)
+        assert [(t.label, t.paulis, t.phase) for t in got] == [w[:3] for w in want]
+        diff = max((abs(t.coefficient - w[3]) for t, w in zip(got, want)), default=0.0)
+        assert diff <= 1e-14
 
 
 def test_block_coefficients_frozen_case():
@@ -114,7 +169,9 @@ def test_cutoff_drops_tiny_terms():
     assert [t.label for t in d.terms] == ["I"]
 
 
-@pytest.mark.parametrize("knots,expected_terms", [(4, 12), (8, 30), (16, 68)])
+@pytest.mark.parametrize(
+    "knots,expected_terms", [(4, 12), (8, 30), (16, 68), (32, 146), (64, 304)]
+)
 def test_spline_system_term_counts(knots, expected_terms):
     matrix = design_matrix_d1(sample_grid(knots, (0.0, 1.0))).entries
     d = decomp.pauli_decompose(matrix)

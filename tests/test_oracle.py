@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspline import oracle
-from qspline.bspline import design_matrix_d1, hermitian_dilation
+from qspline.bspline import design_matrix_d1
 
 
 def test_identity_system_returns_the_target():
@@ -54,9 +54,11 @@ def test_dilated_solve_stacks_zero_then_solution():
     dm = design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0]))
     y = np.array([0.0, 0.4, 0.7, 1.0])
     direct = oracle.solve_exact(dm, y)
-    dilated = oracle.solve_exact(
-        hermitian_dilation(dm), np.concatenate([y, np.zeros(4)])
-    )
+    # [[0, S], [S^T, 0]] has a zero leading pivot, so elimination must swap rows
+    zeros = np.zeros((4, 4))
+    dilation = np.block([[zeros, dm.entries], [dm.entries.T, zeros]])
+    dilated = oracle.solve_exact(dilation, np.concatenate([y, np.zeros(4)]))
+    assert dilated.method == "elimination"
     assert np.max(np.abs(dilated.beta[:4])) < 1e-10
     assert np.max(np.abs(dilated.beta[4:] - direct.beta)) < 1e-10
 

@@ -103,6 +103,22 @@ def test_recovery_shots_mode_runs_and_is_seeded():
     assert np.max(np.abs(one.values - y_unit)) < 0.05
 
 
+def test_shots_recovery_equals_per_row_overlaps():
+    system, y_unit = _system_and_unit_target("sin", 8)
+    state = _oracle_state(system, y_unit)
+    est = readout.recover_estimates(system, state, y_unit, mode="shots",
+                                    shots=2_000, seed=21)
+    row_seeds = np.random.SeedSequence(21).generate_state(8)
+    expected = [
+        est.sign * np.linalg.norm(system.entries[k - 1])
+        * readout.row_overlap(system, k, state, mode="shots", shots=2_000,
+                              seed=int(row_seeds[k - 1]))
+        * est.scale
+        for k in range(1, 9)
+    ]
+    assert np.array_equal(est.values, expected)
+
+
 def test_recovery_validates_inputs():
     system, y_unit = _system_and_unit_target("sin", 4)
     state = _oracle_state(system, y_unit)

@@ -171,17 +171,6 @@ def test_hadamard_test_validates_qubit_range():
         sim.hadamard_test(prep.ops, [(sim.X, (5,))], 1)
 
 
-def test_sample_counts_and_determinism():
-    state = sim.amplitude_encode([1.0, 0.0, 1.0, 0.0]).state
-    counts = sim.sample(state, 4096, seed=5)
-    again = sim.sample(state, 4096, seed=5)
-    assert counts.counts == again.counts
-    assert sum(counts.counts.values()) == 4096
-    assert set(counts.counts) <= {0, 2}
-    assert counts.frequency(0) + counts.frequency(2) == pytest.approx(1.0)
-    assert counts.bitstring(2, 2) == "10"
-
-
 def test_states_close_ignores_global_phase():
     plus = sim.amplitude_encode([1.0, 1.0]).state
     minus = sim.QuantumState(1, -plus.amplitudes)

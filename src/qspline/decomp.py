@@ -11,8 +11,9 @@ Two entry points:
 Coefficients are always real.  Strings with an odd number of Y factors have
 purely imaginary trace coefficients against a real matrix, so the factor i
 is folded into the unitary itself (i*Y is the real rotation Ry(3*pi)); that
-keeps every term a real coefficient times a real unitary, which is what the
-Hadamard-test plumbing wants.
+keeps every term a real coefficient times a real unitary.  The shots cost
+relies on that: its term states ``A_l V|0>`` are real vectors, so every
+overlap is real and one real-part Hadamard test per pair estimates it.
 """
 
 from __future__ import annotations

@@ -54,6 +54,14 @@ class FitConfig:
             raise ValueError("only degree-1 fits are supported")
         if self.mode not in ("exact", "shots", "classical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.shots < 1:
+            raise ValueError(f"shots must be at least 1, got {self.shots}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.layers is not None and self.layers < 0:
+            raise ValueError(f"layers must be non-negative, got {self.layers}")
 
 
 def build_system(knots: int):

@@ -10,6 +10,12 @@ Conventions used throughout the package:
 Everything is a pure function over immutable values.  Registers stay tiny
 (the fitting pipeline never needs more than six qubits), so gates are applied
 by reshaping the dense amplitude vector rather than by sparse tricks.
+
+The fitting pipeline reads every overlap as a dot product of statevectors
+and draws its shot estimate with :func:`sample_overlap`.  The circuits here
+(:func:`amplitude_encode`, :func:`controlled_ops`, :func:`hadamard_test`) are
+the gate-level reference the tests hold it to; the sampled Hadamard test
+makes the same draw from its ancilla probability.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
     "tree_angle_count",
     "controlled_ops",
     "hadamard_test",
+    "sample_overlap",
     "states_close",
 ]
 
@@ -377,10 +384,23 @@ def hadamard_test(
     p1 = min(max(p1, 0.0), 1.0)
     if shots is None:
         return 1.0 - 2.0 * p1
+    return _draw(p1, shots, seed)
+
+
+def sample_overlap(overlap: float, shots: int, seed: int | None = None) -> float:
+    """Shot estimate of a real overlap, as a Hadamard test would return it.
+
+    The ancilla of the test reads 1 with probability ``(1 - overlap) / 2``;
+    this draws ``shots`` readings from the seeded generator exactly as
+    :func:`hadamard_test` does, without building the circuit.
+    """
+    return _draw(min(max((1.0 - overlap) / 2.0, 0.0), 1.0), shots, seed)
+
+
+def _draw(p1: float, shots: int, seed: int | None) -> float:
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = np.random.default_rng(seed)
-    n1 = rng.binomial(shots, p1)
+    n1 = np.random.default_rng(seed).binomial(shots, p1)
     return (shots - 2 * n1) / shots
 
 

@@ -6,9 +6,12 @@ the (normalized) system, and it never needs S to be Hermitian, so the
 bidiagonal spline matrix is solved directly.
 
 Exact mode evaluates the cost straight from matrix algebra.  Shots mode
-assembles the same quantity from Hadamard tests over pairs of terms of an
-LCU decomposition of S, with the shot noise frozen per restart so a run is
-reproducible and the optimizer sees a fixed landscape.
+assembles the same quantity from the overlaps that Hadamard tests over pairs
+of terms of an LCU decomposition of S estimate: the term states A_l V|0> give
+every pair in one Gram product, and :func:`sim.sample_overlap` adds each
+test's shot noise.  The noise is frozen per restart so a run is reproducible
+and the optimizer sees a fixed landscape.  :func:`ansatz_ops` is the trial
+circuit gate by gate; the tests check the shots cost against the circuits.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy import optimize
 
 from . import sim
 from .bspline import as_matrix
-from .decomp import LcuDecomposition, pauli_decompose
+from .decomp import pauli_decompose
 
 __all__ = [
     "AnsatzConfig",
@@ -197,44 +200,43 @@ def _exact_cost(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, theta) 
     return min(max(cost, 0.0), 1.0)
 
 
+def _lcu_arrays(matrix: np.ndarray) -> tuple:
+    """Coefficients and stacked real unitaries of the Pauli LCU of ``matrix``."""
+    lcu = pauli_decompose(matrix)
+    return lcu.coefficients(), np.array([t.matrix().real for t in lcu.terms])
+
+
 def _shots_cost(
-    lcu: LcuDecomposition,
+    lcu: tuple,
     y: np.ndarray,
     config: AnsatzConfig,
     theta,
     shots: int,
     seed,
 ) -> float:
-    """Hadamard-test assembly of the global cost.
+    """Sampled assembly of the global cost from Hadamard-test overlaps.
 
-    Numerator overlaps gamma_l = <0|U_Y^dag A_l V|0> and denominator terms
+    Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
     <0|V^dag A_l^dag A_m V|0> are all real because every unitary involved is
-    real, so single real-part tests per pair suffice.
+    real, so one real-part test per pair suffices.  Seeds follow one
+    ``SeedSequence(seed)`` stream: the gammas first, then the pairs l < m.
     """
-    n = config.n_qubits
-    v_ops = list(ansatz_ops(config, theta))
-    y_ops = list(sim.amplitude_encode(y).ops)
-    coeffs = lcu.coefficients()
-    term_ops = [list(t.ops()) for t in lcu.terms]
+    coeffs, unitaries = lcu
+    phi = unitaries @ ansatz_state_vector(config, theta)
+    gram = phi @ phi.T
+    n_terms = len(coeffs)
     seeds = np.random.SeedSequence(seed).generate_state(
-        len(term_ops) + len(term_ops) * (len(term_ops) - 1) // 2
+        n_terms + n_terms * (n_terms - 1) // 2
     )
     stream = iter(int(s) for s in seeds)
 
-    gammas = np.array(
-        [
-            sim.hadamard_test(y_ops, v_ops + ops_l, n, shots=shots, seed=next(stream))
-            for ops_l in term_ops
-        ]
-    )
+    gammas = np.array([sim.sample_overlap(g, shots, next(stream)) for g in phi @ y])
     numerator = float(coeffs @ gammas) ** 2
 
     denominator = float(coeffs @ coeffs)  # diagonal pairs are exactly 1
-    for l in range(len(term_ops)):
-        for m in range(l + 1, len(term_ops)):
-            est = sim.hadamard_test(
-                v_ops + term_ops[l], v_ops + term_ops[m], n, shots=shots, seed=next(stream)
-            )
+    for l in range(n_terms):
+        for m in range(l + 1, n_terms):
+            est = sim.sample_overlap(gram[l, m], shots, next(stream))
             denominator += 2.0 * coeffs[l] * coeffs[m] * est
     if denominator <= 0.0:
         # heavy shot noise can push the estimate out of range; clip hard
@@ -258,7 +260,7 @@ def cost_global(
     if mode == "shots":
         if not shots or shots < 1:
             raise ValueError("shots mode needs a positive shot count")
-        return _shots_cost(pauli_decompose(as_matrix(system)), y, config, theta, shots, seed)
+        return _shots_cost(_lcu_arrays(as_matrix(system)), y, config, theta, shots, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -420,7 +422,7 @@ def solve(
     if y_vec.size != dim:
         raise ValueError(f"target has length {y_vec.size}, system is {dim}x{dim}")
 
-    lcu = pauli_decompose(matrix) if cfg.mode == "shots" else None
+    lcu = _lcu_arrays(matrix) if cfg.mode == "shots" else None
 
     best = None
     restarts_used = 0

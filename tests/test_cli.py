@@ -105,6 +105,25 @@ def test_bad_knot_count_is_a_usage_error(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["fit", "bench"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--shots", "0"],
+        ["--shots", "-5"],
+        ["--restarts", "0"],
+        ["--max-iter", "0"],
+        ["--ansatz", "layered", "--layers", "-1"],
+    ],
+)
+def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
+    source = ["--function", "sin"] if command == "fit" else []
+    rc = cli.main([command, *source, "--knots", "2", *flags, "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

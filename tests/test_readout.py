@@ -1,4 +1,4 @@
-"""Readout tests: row encodings, overlaps, and estimate recovery."""
+"""Readout tests: overlaps, estimate recovery, and the per-row circuit reference."""
 
 import math
 
@@ -25,52 +25,50 @@ def _oracle_state(system, y_unit):
     )
 
 
-def test_row_encoding_reproduces_the_raw_row():
-    system = design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0]))
-    for k in range(1, 5):
-        enc = readout.encode_row(system, k)
-        assert enc.index == k
-        assert np.max(np.abs(enc.state.amplitudes.real * enc.norm - enc.row)) < 1e-10
-
-
-def test_row_index_bounds():
-    with pytest.raises(ValueError):
-        readout.encode_row(np.eye(4), 0)
-    with pytest.raises(ValueError):
-        readout.encode_row(np.eye(4), 5)
-
-
 def test_zero_row_cannot_be_encoded():
-    with pytest.raises(ValueError):
-        readout.encode_row(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
+    system = np.array([[1.0, 0.0], [0.0, 0.0]])
+    state = sim.zero_state(1)
+    for mode in ("exact", "shots"):
+        with pytest.raises(ValueError, match="row 2 is zero"):
+            readout.recover_estimates(system, state, [1.0, 0.0], mode=mode,
+                                      shots=100, seed=0)
 
 
 def test_overlap_of_identical_and_orthogonal_states():
-    beta = sim.zero_state(2)
-    assert readout.row_overlap(np.eye(4), 1, beta) == pytest.approx(1.0)
-    assert readout.row_overlap(np.eye(4), 2, beta) == pytest.approx(0.0)
+    est = readout.recover_estimates(np.eye(4), sim.zero_state(2), [1.0, 0.0, 0.0, 0.0])
+    assert est.sign == 1.0 and est.scale == 1.0
+    assert np.array_equal(est.values, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_overlaps_match_direct_matrix_products():
     system, y_unit = _system_and_unit_target("sigmoid", 4)
     state = _oracle_state(system, y_unit)
     beta = state.amplitudes.real
-    for k in range(1, 5):
-        row = system.entries[k - 1]
-        expected = float(row @ beta) / np.linalg.norm(row)
-        got = readout.row_overlap(system, k, state)
-        assert got == pytest.approx(expected, abs=1e-10)
+    est = readout.recover_estimates(system, state, y_unit)
+    mapped = system.entries @ beta
+    scale = 1.0 / np.linalg.norm(mapped)
+    assert est.scale == scale
+    assert np.array_equal(est.values, est.sign * mapped * scale)
+    for k in range(4):
+        row = system.entries[k]
+        overlap = float(row @ beta) / np.linalg.norm(row)
+        expected = est.sign * np.linalg.norm(row) * overlap * scale
+        assert est.values[k] == pytest.approx(expected, abs=1e-14)
 
 
 def test_shots_overlap_is_seeded_and_near_exact():
     system, y_unit = _system_and_unit_target("elu", 4)
     state = _oracle_state(system, y_unit)
-    exact = readout.row_overlap(system, 2, state)
-    noisy = readout.row_overlap(system, 2, state, mode="shots", shots=100_000, seed=9)
-    again = readout.row_overlap(system, 2, state, mode="shots", shots=100_000, seed=9)
-    assert noisy == again
-    sigma = math.sqrt(max(1.0 - exact**2, 1e-12) / 100_000)
-    assert abs(noisy - exact) < 5 * sigma + 1e-9
+    exact = readout.recover_estimates(system, state, y_unit)
+    noisy = readout.recover_estimates(system, state, y_unit, mode="shots",
+                                      shots=100_000, seed=9)
+    again = readout.recover_estimates(system, state, y_unit, mode="shots",
+                                      shots=100_000, seed=9)
+    assert np.array_equal(noisy.values, again.values)
+    weights = exact.sign * np.linalg.norm(system.entries, axis=1) * exact.scale
+    overlaps, sampled = exact.values / weights, noisy.values / weights
+    sigma = np.sqrt(np.maximum(1.0 - overlaps**2, 1e-12) / 100_000)
+    assert np.all(np.abs(sampled - overlaps) < 5 * sigma + 1e-9)
 
 
 def test_recovery_reproduces_targets_from_the_exact_solution():
@@ -104,18 +102,20 @@ def test_recovery_shots_mode_runs_and_is_seeded():
 
 
 def test_shots_recovery_equals_per_row_overlaps():
+    # the gate-level reference: one Hadamard test per row between the encoded
+    # row and the encoded state, seeded with the row's draw of the stream
     system, y_unit = _system_and_unit_target("sin", 8)
     state = _oracle_state(system, y_unit)
     est = readout.recover_estimates(system, state, y_unit, mode="shots",
                                     shots=2_000, seed=21)
+    beta_ops = sim.amplitude_encode(state.amplitudes.real).ops
     row_seeds = np.random.SeedSequence(21).generate_state(8)
-    expected = [
-        est.sign * np.linalg.norm(system.entries[k - 1])
-        * readout.row_overlap(system, k, state, mode="shots", shots=2_000,
-                              seed=int(row_seeds[k - 1]))
-        * est.scale
-        for k in range(1, 9)
-    ]
+    expected = []
+    for k in range(8):
+        row = system.entries[k]
+        overlap = sim.hadamard_test(sim.amplitude_encode(row).ops, beta_ops, 3,
+                                    shots=2_000, seed=int(row_seeds[k]))
+        expected.append(est.sign * float(np.linalg.norm(row)) * overlap * est.scale)
     assert np.array_equal(est.values, expected)
 
 
@@ -128,11 +128,21 @@ def test_recovery_validates_inputs():
         readout.recover_estimates(system, state, y_unit[:2])  # wrong length
     with pytest.raises(ValueError):
         readout.recover_estimates(np.zeros((4, 4)), state, y_unit)  # degenerate scale
+    null_state = sim.QuantumState(1, np.array([1.0, -1.0]) / math.sqrt(2.0))
+    with pytest.raises(ValueError, match="numerically zero"):
+        readout.recover_estimates(np.ones((2, 2)), null_state, [1.0, 0.0])
+    with pytest.raises(ValueError, match="unknown mode"):
+        readout.recover_estimates(system, state, y_unit, mode="approximate")
+    for shots in (None, 0, -5):
+        with pytest.raises(ValueError, match="positive shot count"):
+            readout.recover_estimates(system, state, y_unit, mode="shots", shots=shots)
 
 
 def test_imaginary_states_are_rejected():
     complex_state = sim.QuantumState(
         1, np.array([1.0, 1.0j]) / math.sqrt(2.0)
     )
-    with pytest.raises(ValueError):
-        readout.row_overlap(np.eye(2), 1, complex_state)
+    for mode in ("exact", "shots"):
+        with pytest.raises(ValueError, match="imaginary residue"):
+            readout.recover_estimates(np.eye(2), complex_state, [1.0, 0.0],
+                                      mode=mode, shots=100)

@@ -165,6 +165,25 @@ def test_hadamard_test_shots_deterministic_and_near_exact():
     assert abs(one - exact) < 5 * sigma + 1e-9
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_sample_overlap_makes_the_hadamard_test_draw(n_qubits):
+    rng = np.random.default_rng(40 + n_qubits)
+    for i in range(4):
+        left = sim.amplitude_encode(rng.standard_normal(1 << n_qubits))
+        right = sim.amplitude_encode(rng.standard_normal(1 << n_qubits))
+        overlap = float(left.state.amplitudes.real @ right.state.amplitudes.real)
+        for shots in (1, 100, 100_000):
+            seed = 1000 * n_qubits + 10 * i + shots % 7
+            circuit = sim.hadamard_test(left.ops, right.ops, n_qubits, shots=shots, seed=seed)
+            assert sim.sample_overlap(overlap, shots, seed) == circuit
+
+
+def test_sample_overlap_rejects_bad_shot_counts():
+    for shots in (0, -3):
+        with pytest.raises(ValueError):
+            sim.sample_overlap(0.5, shots, 1)
+
+
 def test_hadamard_test_validates_qubit_range():
     prep = sim.amplitude_encode([1.0, 1.0])
     with pytest.raises(IndexError):

@@ -5,6 +5,7 @@ import pytest
 
 from qspline import oracle, sim, vqls
 from qspline.bspline import design_matrix_d1
+from qspline.decomp import pauli_decompose
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
 
 
@@ -109,6 +110,57 @@ def test_shots_cost_tracks_exact_cost():
         system, y, config, theta, mode="shots", shots=200_000, seed=3
     )
     assert noisy == again
+
+
+def _circuit_shots_cost(matrix, y, config, theta, shots, seed):
+    """Gate-level reference of the sampled cost: one Hadamard test per term
+    (target against trial-then-term) and per pair of terms, seeded from one
+    ``SeedSequence(seed)`` stream in that order."""
+    lcu = pauli_decompose(matrix)
+    n = config.n_qubits
+    v_ops = list(vqls.ansatz_ops(config, theta))
+    y_ops = list(sim.amplitude_encode(y).ops)
+    coeffs = lcu.coefficients()
+    term_ops = [list(t.ops()) for t in lcu.terms]
+    seeds = np.random.SeedSequence(seed).generate_state(
+        len(term_ops) + len(term_ops) * (len(term_ops) - 1) // 2
+    )
+    stream = iter(int(s) for s in seeds)
+
+    gammas = np.array(
+        [
+            sim.hadamard_test(y_ops, v_ops + ops_l, n, shots=shots, seed=next(stream))
+            for ops_l in term_ops
+        ]
+    )
+    numerator = float(coeffs @ gammas) ** 2
+
+    denominator = float(coeffs @ coeffs)
+    for l in range(len(term_ops)):
+        for m in range(l + 1, len(term_ops)):
+            est = sim.hadamard_test(
+                v_ops + term_ops[l], v_ops + term_ops[m], n, shots=shots, seed=next(stream)
+            )
+            denominator += 2.0 * coeffs[l] * coeffs[m] * est
+    if denominator <= 0.0:
+        return 1.0
+    return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("knots", [2, 4])
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind):
+    system = _spline_system(knots)
+    y = _normalized_target("relu" if knots == 2 else "sin", knots)
+    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+    for seed in (0, 5, 17):
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, config.n_params)
+        for shots in (100, 50_000):
+            got = vqls.cost_global(system, y, config, theta, mode="shots",
+                                   shots=shots, seed=seed)
+            want = _circuit_shots_cost(system.entries, y / np.linalg.norm(y),
+                                       config, theta, shots, seed)
+            assert got == want
 
 
 def test_shots_mode_requires_a_count():

@@ -30,6 +30,9 @@ EXIT_IO = 3
 
 BENCH_ORDER = ("elu", "relu", "sigmoid", "sin")
 
+_MAX_ITER_HELP = ("iteration cap of each descent or BFGS stage of every restart; "
+                 "it does not cap cost evaluations")
+
 
 class UsageError(Exception):
     """Bad command line or config file; maps to exit code 1."""
@@ -63,7 +66,7 @@ def build_parser() -> _Parser:
     fit.add_argument("--layers", type=int, default=None,
                      help="entangling blocks for the layered ansatz")
     fit.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                     help="optimizer iteration cap (useful in shots mode)")
+                     help=_MAX_ITER_HELP)
     fit.add_argument("--svg", action="store_const", const=True, default=None,
                      help="also write an SVG plot")
     fit.add_argument("--classical-only", action="store_const", const=True,
@@ -78,7 +81,8 @@ def build_parser() -> _Parser:
     bench.add_argument("--restarts", type=int, default=None)
     bench.add_argument("--ansatz", choices=("tree", "layered"), default=None)
     bench.add_argument("--layers", type=int, default=None)
-    bench.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+    bench.add_argument("--max-iter", type=int, default=None, dest="max_iter",
+                       help=_MAX_ITER_HELP)
     bench.add_argument("--svg", action="store_const", const=True, default=None)
     bench.add_argument("--classical-only", action="store_const", const=True,
                        default=None, dest="classical_only")

@@ -153,4 +153,6 @@ def fit(config: FitConfig) -> FitReport:
             "knots": BASELINE_KNOTS,
             "nrmse": QSPLINES_BASELINE[config.function],
         },
+        evaluations=dict(solution.evaluations),
+        condition_number=solution.condition_number,
     )

@@ -47,6 +47,9 @@ class FitReport:
     mean_bias: float
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
+    # quantum fits only: {"cost_rows", "gradients"} over all restarts, and cond(S)
+    evaluations: dict | None = None
+    condition_number: float | None = None
 
     def __post_init__(self):
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}

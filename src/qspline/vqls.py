@@ -12,6 +12,10 @@ every pair in one Gram product, and :func:`sim.sample_overlap` adds each
 test's shot noise.  The noise is frozen per restart so a run is reproducible
 and the optimizer sees a fixed landscape.  :func:`ansatz_ops` is the trial
 circuit gate by gate; the tests check the shots cost against the circuits.
+
+In both modes the optimizer evaluates the cost over ``(B, n_params)``
+blocks of parameters: a central-difference gradient is one block of its 2P
+probe rows, and a single point is a block of one.
 """
 
 from __future__ import annotations
@@ -127,45 +131,65 @@ def _cz_mask(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def _rotate_inplace(vec: np.ndarray, qubit: int, theta: float) -> None:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    view = vec.reshape(-1, 2, 1 << qubit)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = c * lo - s * hi
-    view[:, 1, :] = s * lo + c * hi
+def _rotate_inplace(vecs: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Ry on ``qubit`` of every row of ``vecs``, with the cosine ``c[b]`` and
+    sine ``s[b]`` of row b's half angle."""
+    c, s = c[:, None, None], s[:, None, None]
+    view = vecs.reshape(len(vecs), -1, 2, 1 << qubit)
+    lo = view[:, :, 0, :].copy()
+    hi = view[:, :, 1, :]
+    view[:, :, 0, :] = c * lo - s * hi
+    view[:, :, 1, :] = s * lo + c * hi
 
 
-def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
-    """Real amplitude vector of the trial state, on the fast direct path."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != config.n_params:
-        raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
+def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
+    """Trial states of a ``(B, n_params)`` block of parameters, one row each.
+
+    Every row goes through the same elementwise arithmetic as a lone row,
+    so a state does not depend on the batch it was built in.
+    """
     n = config.n_qubits
+    rows = len(thetas)
+    half = thetas / 2.0
+    cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
         # walk the rotation tree: children split the parent amplitude
-        amps = np.array([1.0])
+        amps = np.ones((rows, 1))
         pos = 0
         for level in range(n):
             width = 1 << level
-            angles = theta[pos : pos + width]
+            children = np.empty((rows, 2 * width))
+            np.multiply(amps, cos[:, pos : pos + width], out=children[:, 0::2])
+            np.multiply(amps, sin[:, pos : pos + width], out=children[:, 1::2])
+            amps = children
             pos += width
-            c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-            amps = np.stack([amps * c, amps * s], axis=1).reshape(-1)
         return amps
-    vec = np.zeros(1 << n)
-    vec[0] = 1.0
+    vecs = np.zeros((rows, 1 << n))
+    vecs[:, 0] = 1.0
     for q in range(n):
-        _rotate_inplace(vec, q, theta[q])
+        _rotate_inplace(vecs, q, cos[:, q], sin[:, q])
     mask = _cz_mask(n) if n > 1 else None
     pos = n
     for _ in range(config.resolved_layers):
         if mask is not None:
-            vec *= mask
+            vecs *= mask
         for q in range(n):
-            _rotate_inplace(vec, q, theta[pos + q])
+            _rotate_inplace(vecs, q, cos[:, pos + q], sin[:, pos + q])
         pos += n
-    return vec
+    return vecs
+
+
+def _one_row(config: AnsatzConfig, theta) -> np.ndarray:
+    """``theta`` as a ``(1, n_params)`` float block, its length checked."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != config.n_params:
+        raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
+    return theta[None, :]
+
+
+def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
+    """Real amplitude vector of the trial state, on the fast direct path."""
+    return _states(config, _one_row(config, theta))[0]
 
 
 def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumState:
@@ -189,15 +213,21 @@ def _y_vector(y_state) -> np.ndarray:
     return y / norm
 
 
-def _exact_cost(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, theta) -> float:
-    v = ansatz_state_vector(config, theta)
-    psi = matrix @ v
-    denom = float(psi @ psi)
-    if denom < 1e-280:
+def _exact_costs(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig,
+                 thetas: np.ndarray) -> np.ndarray:
+    """Exact cost of every row of a ``(B, n_params)`` block.
+
+    The stacked products run one BLAS matrix-vector product and two dot
+    products per row, the same calls ``matrix @ v``, ``psi @ psi`` and
+    ``y @ psi`` make for one state; a single GEMM over the block (or
+    ``einsum``) sums in another order and moves the last bit of some costs.
+    """
+    psi = (matrix[None] @ _states(config, thetas)[:, :, None])[:, :, 0]
+    denom = (psi[:, None, :] @ psi[:, :, None])[:, 0, 0]
+    if (denom < 1e-280).any():
         raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-    overlap = float(y @ psi)
-    cost = 1.0 - (overlap * overlap) / denom
-    return min(max(cost, 0.0), 1.0)
+    overlap = (y[None, None, :] @ psi[:, :, None])[:, 0, 0]
+    return np.minimum(np.maximum(1.0 - (overlap * overlap) / denom, 0.0), 1.0)
 
 
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
@@ -209,12 +239,12 @@ def _lcu_arrays(matrix: np.ndarray) -> tuple:
 def _shots_cost(
     lcu: tuple,
     y: np.ndarray,
-    config: AnsatzConfig,
-    theta,
+    v: np.ndarray,
     shots: int,
     seed,
 ) -> float:
-    """Sampled assembly of the global cost from Hadamard-test overlaps.
+    """Sampled assembly of the global cost at trial state ``v`` from
+    Hadamard-test overlaps.
 
     Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
     <0|V^dag A_l^dag A_m V|0> are all real because every unitary involved is
@@ -222,7 +252,7 @@ def _shots_cost(
     ``SeedSequence(seed)`` stream: the gammas first, then the pairs l < m.
     """
     coeffs, unitaries = lcu
-    phi = unitaries @ ansatz_state_vector(config, theta)
+    phi = unitaries @ v
     gram = phi @ phi.T
     n_terms = len(coeffs)
     seeds = np.random.SeedSequence(seed).generate_state(
@@ -244,6 +274,12 @@ def _shots_cost(
     return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
 
 
+def _shots_costs(lcu: tuple, y: np.ndarray, config: AnsatzConfig,
+                 thetas: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Sampled cost of every row of a block, each drawn from the same ``seed``."""
+    return np.array([_shots_cost(lcu, y, v, shots, seed) for v in _states(config, thetas)])
+
+
 def cost_global(
     system,
     y_state,
@@ -256,11 +292,12 @@ def cost_global(
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with Y."""
     y = _y_vector(y_state)
     if mode == "exact":
-        return _exact_cost(as_matrix(system), y, config, theta)
+        return float(_exact_costs(as_matrix(system), y, config, _one_row(config, theta))[0])
     if mode == "shots":
         if not shots or shots < 1:
             raise ValueError("shots mode needs a positive shot count")
-        return _shots_cost(_lcu_arrays(as_matrix(system)), y, config, theta, shots, seed)
+        v = ansatz_state_vector(config, theta)
+        return _shots_cost(_lcu_arrays(as_matrix(system)), y, v, shots, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -289,7 +326,13 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class VqlsSolution:
-    """Best restart of a variational solve."""
+    """Best restart of a variational solve.
+
+    ``evaluations`` totals every restart: ``cost_rows`` counts parameter
+    points whose cost was evaluated (gradient probes included) and
+    ``gradients`` the central-difference gradients.  ``condition_number``
+    is cond(S), from the singularity check.
+    """
 
     theta: np.ndarray
     beta_state: sim.QuantumState
@@ -299,21 +342,47 @@ class VqlsSolution:
     restarts_used: int
     seed: int
     ansatz: AnsatzConfig
+    evaluations: dict
+    condition_number: float
 
 
-def _fd_gradient(f: Callable, theta: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        probe = theta.copy()
-        probe[i] = theta[i] + step
-        hi = f(probe)
-        probe[i] = theta[i] - step
-        lo = f(probe)
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad
+def _fd_gradient(costs: Callable, theta: np.ndarray, step: float) -> np.ndarray:
+    """Central differences from one batch: rows 2i and 2i+1 are theta +/- step e_i."""
+    p = theta.size
+    probes = np.empty((2 * p, p))
+    probes[:] = theta
+    idx = np.arange(p)
+    probes[2 * idx, idx] = theta + step
+    probes[2 * idx + 1, idx] = theta - step
+    values = costs(probes)
+    return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
-def _descend(f: Callable, theta0: np.ndarray, max_iter: int):
+class _Objective:
+    """One restart's cost, evaluated over ``(B, n_params)`` blocks.
+
+    A single point is a batch of one and a gradient is one batch of its
+    probe rows; both pass through :meth:`costs`, which counts the rows.
+    """
+
+    def __init__(self, costs: Callable[[np.ndarray], np.ndarray]):
+        self._costs = costs
+        self.cost_rows = 0
+        self.gradients = 0
+
+    def costs(self, thetas: np.ndarray) -> np.ndarray:
+        self.cost_rows += len(thetas)
+        return self._costs(thetas)
+
+    def __call__(self, theta) -> float:
+        return float(self.costs(np.asarray(theta, dtype=float)[None, :])[0])
+
+    def gradient(self, theta) -> np.ndarray:
+        self.gradients += 1
+        return _fd_gradient(self.costs, np.asarray(theta, dtype=float), FD_STEP)
+
+
+def _descend(f: _Objective, theta0: np.ndarray, max_iter: int):
     """First-order descent with central differences and backtracking halving.
 
     The trial step starts from a Barzilai-Borwein estimate when history is
@@ -326,7 +395,7 @@ def _descend(f: Callable, theta0: np.ndarray, max_iter: int):
     prev_theta = None
     prev_grad = None
     for _ in range(max_iter):
-        grad = _fd_gradient(f, theta, FD_STEP)
+        grad = f.gradient(theta)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0 or not np.isfinite(gnorm2):
             break
@@ -359,7 +428,7 @@ def _descend(f: Callable, theta0: np.ndarray, max_iter: int):
     return theta, cost, trace
 
 
-def _minimize_gd(f: Callable, theta0: np.ndarray, max_iter: int):
+def _minimize_gd(f: _Objective, theta0: np.ndarray, max_iter: int):
     """Gradient descent, then a quasi-Newton polish with the same gradients.
 
     The spline systems are ill-conditioned (squared condition number near
@@ -377,7 +446,7 @@ def _minimize_gd(f: Callable, theta0: np.ndarray, max_iter: int):
         result = optimize.minimize(
             f,
             theta,
-            jac=lambda x: _fd_gradient(f, x, FD_STEP),
+            jac=f.gradient,
             method="BFGS",
             options={"maxiter": max_iter, "gtol": 1e-14},
         )
@@ -413,7 +482,10 @@ def solve(
         raise ValueError(f"system dimension must be a power of two >= 2, got {dim}")
     # determinants underflow for larger grids, so gauge invertibility by
     # conditioning instead
-    if not np.all(np.isfinite(matrix)) or np.linalg.cond(matrix) > 1e12:
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("system matrix is singular")
+    condition_number = float(np.linalg.cond(matrix))
+    if condition_number > 1e12:
         raise ValueError("system matrix is singular")
     ans = ansatz or AnsatzConfig(n_qubits=n)
     if ans.n_qubits != n:
@@ -426,16 +498,19 @@ def solve(
 
     best = None
     restarts_used = 0
+    evaluations = {"cost_rows": 0, "gradients": 0}
     for restart in range(cfg.restarts):
         restarts_used = restart + 1
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
         if cfg.mode == "exact":
-            f = lambda t: _exact_cost(matrix, y_vec, ans, t)
+            f = _Objective(lambda ts: _exact_costs(matrix, y_vec, ans, ts))
         else:
             noise_seed = int(rng.integers(0, 2**31 - 1))
-            f = lambda t: _shots_cost(lcu, y_vec, ans, t, cfg.shots, noise_seed)
+            f = _Objective(lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
         theta, cost, trace = _minimize_gd(f, theta0, cfg.max_iter)
+        evaluations["cost_rows"] += f.cost_rows
+        evaluations["gradients"] += f.gradients
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
         if best[1] <= STOP_COST:
@@ -451,4 +526,6 @@ def solve(
         restarts_used=restarts_used,
         seed=cfg.seed,
         ansatz=ans,
+        evaluations=evaluations,
+        condition_number=condition_number,
     )

@@ -1,12 +1,17 @@
 """Command-line behavior: files, formats, exit codes, option precedence."""
 
 import json
+import os
+import tempfile
 import xml.dom.minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qspline import cli
+from qspline import cli, pipeline
+from qspline.functions import TARGETS
 from qspline.report import CSV_HEADER, format_number
 
 
@@ -52,6 +57,27 @@ def test_fit_report_sidecar_replays_configuration(tmp_path):
     tgt = np.array(payload["y_target"])
     recomputed = float(np.sqrt(np.mean((est - tgt) ** 2)) / (tgt.max() - tgt.min()))
     assert recomputed == pytest.approx(payload["nrmse"], abs=1e-12)
+
+
+def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
+    # the README's capped shots fit: --max-iter bounds iterations, not evaluations
+    flags = ["fit", "--function", "sin", "--knots", "4", "--mode", "shots",
+             "--shots", "50000", "--restarts", "1", "--max-iter", "1", "--seed", "1"]
+    payloads = []
+    for run in ("a", "b"):
+        assert cli.main([*flags, "--out", str(tmp_path / run)]) == 2
+        payloads.append(json.loads((tmp_path / run / "fit_sin_K4_seed1.json").read_text()))
+    first, again = payloads
+    assert first["evaluations"] == {"cost_rows": 628, "gradients": 88}
+    assert again["evaluations"] == first["evaluations"]
+    system, _ = pipeline.build_system(4)
+    assert first["condition_number"] == float(np.linalg.cond(system.entries))
+
+    assert cli.main(["fit", "--function", "sin", "--knots", "4", "--classical-only",
+                     "--out", str(tmp_path / "c")]) == 0
+    classical = json.loads((tmp_path / "c" / "fit_sin_K4_seednone.json").read_text())
+    assert classical["evaluations"] is None
+    assert classical["condition_number"] is None
 
 
 def test_fit_svg_is_well_formed(tmp_path):
@@ -198,3 +224,66 @@ def test_decompose_requires_one_source(capsys):
 
 def test_unknown_command_is_a_usage_error():
     assert cli.main(["transmogrify"]) == 1
+
+
+_INT_KEYS = ("knots", "degree", "shots", "restarts", "layers", "max_iter", "seed")
+_CHOICE_KEYS = {"function": sorted(TARGETS), "mode": ["exact", "shots"],
+                "ansatz": ["tree", "layered"]}
+_BOOL_KEYS = ("svg", "classical_only")
+
+
+@st.composite
+def _sources(draw):
+    """For every ``fit`` key: an optional flag value, an optional config-file
+    word (with the value it means), and for the seed an optional env value."""
+    plan = {}
+    for key in cli._DEFAULTS:
+        if key in _INT_KEYS:
+            value = st.integers(-10**6, 10**6)
+            flag = draw(st.none() | value)
+            word = draw(st.none() | value.map(str))
+            meant = None if word is None else int(word)
+        elif key in _BOOL_KEYS:
+            flag = draw(st.none() | st.just(True))  # store_const flags only set True
+            word = draw(st.none() | st.sampled_from(sorted(cli._BOOL_WORDS)))
+            meant = None if word is None else cli._BOOL_WORDS[word]
+        else:
+            value = (st.sampled_from(_CHOICE_KEYS[key]) if key in _CHOICE_KEYS
+                     else st.text("abcxyz_/", min_size=1, max_size=8))
+            flag = draw(st.none() | value)
+            word = meant = draw(st.none() | value)
+        env = draw(st.none() | st.integers(-10**6, 10**6)) if key == "seed" else None
+        plan[key] = (flag, word, meant, env)
+    return plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sources())
+def test_resolve_prefers_flag_then_config_then_environment_then_default(plan):
+    argv, lines, expected = ["fit"], [], {}
+    for key, (flag, word, meant, env) in plan.items():
+        option = "--" + key.replace("_", "-")
+        if flag is True and key in _BOOL_KEYS:
+            argv.append(option)
+        elif flag is not None:
+            argv.append(f"{option}={flag}")
+        if word is not None:
+            lines.append(f"{key}={word}")
+        for candidate in (flag, meant, env):
+            if candidate is not None:
+                expected[key] = candidate
+                break
+        else:
+            expected[key] = cli._DEFAULTS[key]
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        env = plan["seed"][3]
+        if env is None:
+            mp.delenv("QSPLINE_SEED", raising=False)
+        else:
+            mp.setenv("QSPLINE_SEED", str(env))
+        args = cli.build_parser().parse_args([*argv, "--config", path])
+        assert cli._resolve(args) == expected

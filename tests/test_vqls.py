@@ -1,5 +1,7 @@
 """Variational solver tests: ansatz circuits, cost, and the optimizer loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,126 @@ def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind):
             want = _circuit_shots_cost(system.entries, y / np.linalg.norm(y),
                                        config, theta, shots, seed)
             assert got == want
+
+
+def _reference_state(config, theta):
+    """Single-point trial state as built before batching: ``np.stack`` down
+    the tree, one scalar-angle Ry at a time for the layered circuit."""
+    n = config.n_qubits
+    if config.kind == "tree":
+        amps = np.array([1.0])
+        pos = 0
+        for level in range(n):
+            width = 1 << level
+            angles = theta[pos : pos + width]
+            pos += width
+            c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+            amps = np.stack([amps * c, amps * s], axis=1).reshape(-1)
+        return amps
+
+    def rotate(vec, qubit, angle):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        view = vec.reshape(-1, 2, 1 << qubit)
+        lo = view[:, 0, :].copy()
+        hi = view[:, 1, :]
+        view[:, 0, :] = c * lo - s * hi
+        view[:, 1, :] = s * lo + c * hi
+
+    vec = np.zeros(1 << n)
+    vec[0] = 1.0
+    for q in range(n):
+        rotate(vec, q, theta[q])
+    pos = n
+    for _ in range(config.resolved_layers):
+        if n > 1:
+            vec *= vqls._cz_mask(n)
+        for q in range(n):
+            rotate(vec, q, theta[pos + q])
+        pos += n
+    return vec
+
+
+def _reference_cost(matrix, y, config, theta):
+    """Single-point exact cost: ``S @ v``, ``psi @ psi`` and ``y @ psi``."""
+    psi = matrix @ _reference_state(config, theta)
+    denom = float(psi @ psi)
+    if denom < 1e-280:
+        raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
+    overlap = float(y @ psi)
+    cost = 1.0 - (overlap * overlap) / denom
+    return min(max(cost, 0.0), 1.0)
+
+
+def _reference_gradient(f, theta, step):
+    """Central differences, one coordinate and two single-point costs at a time."""
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        probe = theta.copy()
+        probe[i] = theta[i] + step
+        hi = f(probe)
+        probe[i] = theta[i] - step
+        lo = f(probe)
+        grad[i] = (hi - lo) / (2.0 * step)
+    return grad
+
+
+@pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_batched_objective_equals_the_per_point_formula(knots, kind):
+    matrix = _spline_system(knots).entries
+    y = _normalized_target("elu", knots)
+    y = y / np.linalg.norm(y)
+    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+    thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
+
+    states = vqls._states(config, thetas)
+    want_states = np.array([_reference_state(config, t) for t in thetas])
+    assert states.tobytes() == want_states.tobytes()
+
+    costs = vqls._exact_costs(matrix, y, config, thetas)
+    want = np.array([_reference_cost(matrix, y, config, t) for t in thetas])
+    assert costs.tobytes() == want.tobytes()
+
+    objective = vqls._Objective(lambda ts: vqls._exact_costs(matrix, y, config, ts))
+    for theta in thetas[:4]:
+        assert objective(theta) == _reference_cost(matrix, y, config, theta)
+        grad = objective.gradient(theta)
+        want_grad = _reference_gradient(
+            lambda t: _reference_cost(matrix, y, config, t), theta, vqls.FD_STEP
+        )
+        assert grad.tobytes() == want_grad.tobytes()
+    assert objective.gradients == 4
+    assert objective.cost_rows == 4 * (1 + 2 * config.n_params)
+
+
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_shots_costs_of_a_block_equal_single_point_costs(kind):
+    system = _spline_system(4)
+    y = _normalized_target("sin", 4)
+    config = vqls.AnsatzConfig(n_qubits=2, kind=kind)
+    thetas = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (5, config.n_params))
+    lcu = vqls._lcu_arrays(system.entries)
+    got = vqls._shots_costs(lcu, y / np.linalg.norm(y), config, thetas, 1000, 11)
+    want = [vqls.cost_global(system, y, config, t, mode="shots", shots=1000, seed=11)
+            for t in thetas]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_a_vanishing_row_raises_the_singular_error(row):
+    # S annihilates |0>, and the tree ansatz prepares |0> at theta = 0
+    matrix = np.diag([0.0, 1.0, 1.0, 1.0])
+    y = np.array([0.0, 1.0, 0.0, 0.0])
+    config = vqls.AnsatzConfig(n_qubits=2, kind="tree")
+    thetas = np.random.default_rng(1).uniform(0.5, 2.5, (7, config.n_params))
+    thetas[row] = 0.0
+    message = "vanished; the system matrix is singular"
+    with pytest.raises(ValueError, match=message):
+        _reference_cost(matrix, y, config, thetas[row])
+    with pytest.raises(ValueError, match=message):
+        vqls._exact_costs(matrix, y, config, thetas)
+    with pytest.raises(ValueError, match=message):
+        vqls.cost_global(matrix, y, config, thetas[row])
 
 
 def test_shots_mode_requires_a_count():

@@ -99,6 +99,7 @@ def fit(config: FitConfig) -> FitReport:
 
     started = time.perf_counter()
     solution = vqls.solve(system, y01, solve_cfg, ansatz_cfg)
+    solved = time.perf_counter()
     y_unit = y01 / float(np.linalg.norm(y01))
     estimate = readout.recover_estimates(
         system,
@@ -109,10 +110,15 @@ def fit(config: FitConfig) -> FitReport:
         # disjoint from the restart substreams (seed, 0..restarts-1)
         seed=int(np.random.SeedSequence((config.seed, 1 << 20)).generate_state(1)[0]),
     )
-    wall = time.perf_counter() - started
+    read_out = time.perf_counter()
 
     y_estimate = estimate.values * float(np.linalg.norm(y01))
     classical = oracle.fit_classical(config.function, config.knots, config.degree)
+    timings = {
+        "solve_s": solved - started,
+        "readout_s": read_out - solved,
+        "classical_s": time.perf_counter() - read_out,
+    }
 
     return FitReport(
         function=config.function,
@@ -147,7 +153,7 @@ def fit(config: FitConfig) -> FitReport:
         converged=solution.converged,
         restarts_used=solution.restarts_used,
         mean_bias=float(np.mean(y_estimate - y01)),
-        wall_seconds=wall,
+        wall_seconds=read_out - started,
         baseline={
             "model": "QSplines (swap test)",
             "knots": BASELINE_KNOTS,
@@ -155,4 +161,6 @@ def fit(config: FitConfig) -> FitReport:
         },
         evaluations=dict(solution.evaluations),
         condition_number=solution.condition_number,
+        restarts=[dict(r) for r in solution.restarts],
+        timings=timings,
     )

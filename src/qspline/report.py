@@ -47,9 +47,13 @@ class FitReport:
     mean_bias: float
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
-    # quantum fits only: {"cost_rows", "gradients"} over all restarts, and cond(S)
+    # quantum fits only: {"cost_rows", "gradients"} over all restarts, cond(S),
+    # one {"final_cost", "cost_rows", "gradients"} per restart run, and the
+    # seconds of the fit's stages {"solve_s", "readout_s", "classical_s"}
     evaluations: dict | None = None
     condition_number: float | None = None
+    restarts: list | None = None
+    timings: dict | None = None
 
     def __post_init__(self):
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}

@@ -328,10 +328,12 @@ class SolveConfig:
 class VqlsSolution:
     """Best restart of a variational solve.
 
-    ``evaluations`` totals every restart: ``cost_rows`` counts parameter
-    points whose cost was evaluated (gradient probes included) and
-    ``gradients`` the central-difference gradients.  ``condition_number``
-    is cond(S), from the singularity check.
+    ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients"}``
+    record per restart run, in order: ``cost_rows`` counts parameter points
+    whose cost was evaluated (gradient probes included) and ``gradients``
+    the central-difference gradients.  ``evaluations`` sums the two counts
+    over every restart.  ``condition_number`` is cond(S), from the
+    singularity check.
     """
 
     theta: np.ndarray
@@ -344,6 +346,7 @@ class VqlsSolution:
     ansatz: AnsatzConfig
     evaluations: dict
     condition_number: float
+    restarts: tuple
 
 
 def _fd_gradient(costs: Callable, theta: np.ndarray, step: float) -> np.ndarray:
@@ -497,10 +500,8 @@ def solve(
     lcu = _lcu_arrays(matrix) if cfg.mode == "shots" else None
 
     best = None
-    restarts_used = 0
-    evaluations = {"cost_rows": 0, "gradients": 0}
+    records = []
     for restart in range(cfg.restarts):
-        restarts_used = restart + 1
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
         if cfg.mode == "exact":
@@ -509,8 +510,8 @@ def solve(
             noise_seed = int(rng.integers(0, 2**31 - 1))
             f = _Objective(lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
         theta, cost, trace = _minimize_gd(f, theta0, cfg.max_iter)
-        evaluations["cost_rows"] += f.cost_rows
-        evaluations["gradients"] += f.gradients
+        records.append({"final_cost": float(cost), "cost_rows": f.cost_rows,
+                        "gradients": f.gradients})
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
         if best[1] <= STOP_COST:
@@ -523,9 +524,10 @@ def solve(
         final_cost=float(cost),
         cost_trace=tuple(float(c) for c in trace),
         converged=bool(cost <= SUCCESS_COST),
-        restarts_used=restarts_used,
+        restarts_used=len(records),
         seed=cfg.seed,
         ansatz=ans,
-        evaluations=evaluations,
+        evaluations={key: sum(r[key] for r in records) for key in ("cost_rows", "gradients")},
         condition_number=condition_number,
+        restarts=tuple(records),
     )

@@ -1,5 +1,6 @@
 """Command-line behavior: files, formats, exit codes, option precedence."""
 
+import concurrent.futures.process
 import json
 import os
 import tempfile
@@ -78,6 +79,93 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
     classical = json.loads((tmp_path / "c" / "fit_sin_K4_seednone.json").read_text())
     assert classical["evaluations"] is None
     assert classical["condition_number"] is None
+
+
+def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
+    # one iteration per stage keeps every restart above STOP_COST, so all five run
+    flags = ["fit", "--function", "elu", "--knots", "8", "--max-iter", "1"]
+    payloads = []
+    for run in ("a", "b"):
+        assert cli.main([*flags, "--out", str(tmp_path / run)]) == 2
+        payloads.append(json.loads((tmp_path / run / "fit_elu_K8_seed42.json").read_text()))
+    first, again = payloads
+    restarts = first["restarts"]
+    assert len(restarts) == first["restarts_used"] == 5
+    for key in ("cost_rows", "gradients"):
+        assert sum(r[key] for r in restarts) == first["evaluations"][key]
+    assert first["final_cost"] == min(r["final_cost"] for r in restarts)
+    assert again["restarts"] == restarts
+    assert set(first["timings"]) == {"solve_s", "readout_s", "classical_s"}
+    assert all(seconds >= 0.0 for seconds in first["timings"].values())
+
+    assert cli.main(["fit", "--function", "elu", "--knots", "8", "--classical-only",
+                     "--out", str(tmp_path / "c")]) == 0
+    classical = json.loads((tmp_path / "c" / "fit_elu_K8_seednone.json").read_text())
+    assert classical["restarts"] is None
+    assert classical["timings"] is None
+
+
+def _force_cores(monkeypatch, cores: int) -> list:
+    """Make ``bench`` see ``cores`` usable cores; return a list that records
+    the worker count and start method of each pool it starts."""
+    pools = []
+    executor = concurrent.futures.process.ProcessPoolExecutor
+
+    def pool(workers, mp_context):
+        pools.append((workers, mp_context.get_start_method()))
+        return executor(workers, mp_context=mp_context)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cores)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools
+
+
+_VOLATILE = ("wall_seconds", "timings")
+
+
+def test_bench_worker_pool_changes_no_output_byte(tmp_path, monkeypatch, capsys):
+    no_pools = _force_cores(monkeypatch, 1)
+    assert cli.main(["bench", "--knots", "4", "--out", str(tmp_path / "serial")]) == 0
+    assert no_pools == []
+    serial = capsys.readouterr()
+    pools = _force_cores(monkeypatch, 2)
+    # classical-only fits stay in-process even with cores to spare
+    assert cli.main(["bench", "--knots", "4", "--classical-only",
+                     "--out", str(tmp_path / "classical")]) == 0
+    assert pools == []
+    capsys.readouterr()
+    assert cli.main(["bench", "--knots", "4", "--out", str(tmp_path / "pool")]) == 0
+    assert pools == [(2, "fork")]
+    pooled = capsys.readouterr()
+    assert pooled.out == serial.out.replace("serial", "pool")
+    assert pooled.err == serial.err == ""
+
+    summary = "bench_K4_seed42.csv"
+    assert ((tmp_path / "pool" / summary).read_bytes()
+            == (tmp_path / "serial" / summary).read_bytes())
+    for name in cli.BENCH_ORDER:
+        rep = pipeline.fit(pipeline.FitConfig(function=name, knots=4))
+        stem = tmp_path / "pool" / rep.stem()
+        assert stem.with_suffix(".csv").read_text() == rep.csv_text()
+        written = json.loads(stem.with_suffix(".json").read_text())
+        expected = json.loads(rep.json_text())
+        for key in _VOLATILE:
+            written.pop(key), expected.pop(key)
+        assert written == expected
+
+
+def test_bench_worker_pool_reports_each_failed_fit_in_order(tmp_path, monkeypatch, capsys):
+    # cond(S) is about 2.5e18 at K=64, so every worker raises before optimizing
+    pools = _force_cores(monkeypatch, 2)
+    assert cli.main(["bench", "--knots", "64", "--out", str(tmp_path)]) == 2
+    assert pools == [(2, "fork")]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"{name}: fit failed: system matrix is singular"
+                                for name in cli.BENCH_ORDER]
+    summary = (tmp_path / "bench_K64_seed42.csv").read_text().splitlines()
+    assert summary[-1] == "vqls,64,nan,nan,nan,nan"
+    assert [p.name for p in tmp_path.iterdir()] == ["bench_K64_seed42.csv"]
 
 
 def test_fit_svg_is_well_formed(tmp_path):

@@ -1,11 +1,14 @@
 """Grid-refinement study: NRMSE of one target as the knot count grows.
 
 Usage: python3 scripts/sweep_knots.py [--function sigmoid] [--seed 42]
+                                      [--knots 4 8 16 32]
 
 The square system interpolates the samples, so the classical column sits
 at machine precision for every size; the quantum column instead tracks
 the optimizer's cost floor, which rises with the knot count because the
-system's condition number grows with grid refinement.
+system's condition number grows with grid refinement.  A knot count whose
+fit fails (K = 64: the system is numerically singular) prints one
+``failed:`` row, the sweep goes on, and the script exits 2.
 """
 
 import argparse
@@ -27,12 +30,18 @@ def main() -> int:
 
     print(f"{'knots':>6} {'qubits':>7} {'nrmse':>12} {'classical':>12} "
           f"{'cost':>10} {'time':>8}")
+    failed = False
     for k in args.knots:
-        rep = fit(FitConfig(function=args.function, knots=k, seed=args.seed))
+        try:
+            rep = fit(FitConfig(function=args.function, knots=k, seed=args.seed))
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{k:>6} {k.bit_length() - 1:>7} failed: {exc}")
+            failed = True
+            continue
         print(f"{k:>6} {k.bit_length() - 1:>7} {rep.nrmse:>12.3e} "
               f"{rep.classical_nrmse:>12.2e} {rep.final_cost:>10.2e} "
               f"{rep.wall_seconds:>7.1f}s")
-    return 0
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

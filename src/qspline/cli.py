@@ -66,8 +66,6 @@ def build_parser() -> _Parser:
     fit.add_argument("--shots", type=int, default=None)
     fit.add_argument("--restarts", type=int, default=None)
     fit.add_argument("--ansatz", choices=("tree", "layered"), default=None)
-    fit.add_argument("--layers", type=int, default=None,
-                     help="entangling blocks for the layered ansatz")
     fit.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                      help=_MAX_ITER_HELP)
     fit.add_argument("--svg", action="store_const", const=True, default=None,
@@ -83,7 +81,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--shots", type=int, default=None)
     bench.add_argument("--restarts", type=int, default=None)
     bench.add_argument("--ansatz", choices=("tree", "layered"), default=None)
-    bench.add_argument("--layers", type=int, default=None)
     bench.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                        help=_MAX_ITER_HELP)
     bench.add_argument("--svg", action="store_const", const=True, default=None)
@@ -113,7 +110,6 @@ _DEFAULTS = {
     "shots": 10_000,
     "restarts": 5,
     "ansatz": "tree",
-    "layers": None,
     "max_iter": 2000,
     "svg": False,
     "classical_only": False,
@@ -142,7 +138,7 @@ def _read_config(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    if key in ("knots", "degree", "shots", "restarts", "layers", "max_iter", "seed"):
+    if key in ("knots", "degree", "shots", "restarts", "max_iter", "seed"):
         try:
             return int(raw)
         except ValueError as exc:
@@ -192,7 +188,6 @@ def _fit_config(settings: dict) -> pipeline.FitConfig:
             restarts=settings["restarts"],
             seed=settings["seed"],
             ansatz=settings["ansatz"],
-            layers=settings["layers"],
             max_iter=settings["max_iter"],
         )
     except ValueError as exc:

@@ -40,7 +40,6 @@ class FitConfig:
     restarts: int = 5
     seed: int = 42
     ansatz: str = "tree"  # "tree" | "layered"
-    layers: int | None = None
     max_iter: int = 2000
 
     def __post_init__(self):
@@ -58,10 +57,12 @@ class FitConfig:
             raise ValueError(f"shots must be at least 1, got {self.shots}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.ansatz not in ("tree", "layered"):
+            raise ValueError(f"unknown ansatz {self.ansatz!r}; pick tree or layered")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.layers is not None and self.layers < 0:
-            raise ValueError(f"layers must be non-negative, got {self.layers}")
 
 
 def build_system(knots: int):
@@ -93,9 +94,7 @@ def fit(config: FitConfig) -> FitReport:
         restarts=config.restarts,
         seed=config.seed,
     )
-    ansatz_cfg = vqls.AnsatzConfig(
-        n_qubits=n_qubits, layers=config.layers, kind=config.ansatz
-    )
+    ansatz_cfg = vqls.AnsatzConfig(n_qubits=n_qubits, kind=config.ansatz)
 
     started = time.perf_counter()
     solution = vqls.solve(system, y01, solve_cfg, ansatz_cfg)
@@ -129,7 +128,7 @@ def fit(config: FitConfig) -> FitReport:
         ansatz={
             "kind": ansatz_cfg.kind,
             "n_qubits": ansatz_cfg.n_qubits,
-            "layers": ansatz_cfg.resolved_layers if ansatz_cfg.kind == "layered" else None,
+            "layers": ansatz_cfg.layers,
             "entangler": vqls.ENTANGLER if ansatz_cfg.kind == "layered" else None,
             "n_params": ansatz_cfg.n_params,
         },

@@ -10,8 +10,9 @@ assembles the same quantity from the overlaps that Hadamard tests over pairs
 of terms of an LCU decomposition of S estimate: the term states A_l V|0> give
 every pair in one Gram product, and :func:`sim.sample_overlap` adds each
 test's shot noise.  The noise is frozen per restart so a run is reproducible
-and the optimizer sees a fixed landscape.  :func:`ansatz_ops` is the trial
-circuit gate by gate; the tests check the shots cost against the circuits.
+and the optimizer sees a fixed landscape.  V(theta) is a rotation tree or a
+brick wall of CZ and Ry layers at a depth fixed by the qubit count;
+:func:`ansatz_ops` lists its gates, which the tests run against the shots cost.
 
 In both modes the optimizer evaluates the cost over ``(B, n_params)``
 blocks of parameters: a central-difference gradient is one block of its 2P
@@ -44,7 +45,12 @@ __all__ = [
     "solve",
 ]
 
-ENTANGLER = "linear-cz"  # CZ on each neighbouring pair (q, q+1)
+ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... in turn
+
+# Smallest brick-wall depth at which theta -> V(theta)|0> has Jacobian rank
+# 2^n - 1, the dimension of the real unit sphere, at generic theta.  Measured;
+# 2n - 3 fits up to n = 5 only.  Six qubits (K = 64) is the CLI's ceiling.
+_FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
 
 # step sizes and stopping thresholds of the descent loop, in both modes
 LEARNING_RATE = 0.1
@@ -55,29 +61,28 @@ SUCCESS_COST = 1e-3  # below this the solve counts as converged
 
 
 def default_layers(n_qubits: int) -> int:
-    """Entangling blocks used when the caller does not pick a count.
+    """Entangling layers of the layered ansatz on ``n_qubits`` qubits.
 
-    One fewer than the qubit count keeps the parameter total at n*n
-    (16 parameters for the four-qubit spline systems), enough to cover a
-    real state of the same dimension.
+    The smallest brick-wall depth whose parameter map has full Jacobian
+    rank 2^n - 1; one layer fewer leaves some real states out of reach.
     """
-    return max(0, n_qubits - 1)
+    return _FULL_RANK_LAYERS[n_qubits]
 
 
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the trial-state circuit.
 
-    ``layered`` (default) is an initial Ry rotation on every qubit followed
-    by ``layers`` blocks of [CZ on each neighbouring pair, Ry on every
-    qubit]; all rotations are real, so the circuit sweeps real unit vectors.
-    ``tree`` reuses the multiplexed-rotation template of amplitude encoding
-    with free angles, which can express any real state exactly and accepts
-    encoding angles as a known-good parameter vector.
+    ``layered`` (default) is a brick wall: Ry on every qubit, then
+    :func:`default_layers` layers of [CZ on pairs (0,1), (2,3), ... in even
+    layers and (1,2), (3,4), ... in odd ones, Ry on every qubit]; its real
+    rotations sweep real unit vectors.  ``tree`` reuses the multiplexed-
+    rotation template of amplitude encoding with free angles, which can
+    express any real state exactly and takes encoding angles as a
+    known-good parameter vector.
     """
 
     n_qubits: int
-    layers: int | None = None
     kind: str = "layered"  # "layered" | "tree"
 
     def __post_init__(self):
@@ -85,22 +90,24 @@ class AnsatzConfig:
             raise ValueError("need at least one qubit")
         if self.kind not in ("layered", "tree"):
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
-        if self.layers is not None and self.layers < 0:
-            raise ValueError("layers must be non-negative")
+        if self.kind == "layered" and self.n_qubits not in _FULL_RANK_LAYERS:
+            raise ValueError(f"layered ansatz spans at most {max(_FULL_RANK_LAYERS)} qubits")
 
     @property
-    def resolved_layers(self) -> int:
-        return default_layers(self.n_qubits) if self.layers is None else self.layers
+    def layers(self) -> int | None:
+        """Entangling layers of the layered circuit; None for the tree."""
+        return default_layers(self.n_qubits) if self.kind == "layered" else None
 
     @property
     def n_params(self) -> int:
         if self.kind == "tree":
             return sim.tree_angle_count(self.n_qubits)
-        return self.n_qubits * (self.resolved_layers + 1)
+        return self.n_qubits * (self.layers + 1)
 
 
-def _entangler_pairs(n_qubits: int) -> tuple:
-    return tuple((q, q + 1) for q in range(n_qubits - 1))
+def _entangler_pairs(n_qubits: int, layer: int) -> tuple:
+    """CZ pairs of entangling layer ``layer``: even pairs, then odd, in turn."""
+    return tuple((q, q + 1) for q in range(layer % 2, n_qubits - 1, 2))
 
 
 def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
@@ -113,18 +120,19 @@ def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
     n = config.n_qubits
     ops = [(sim.ry(theta[q]), (q,)) for q in range(n)]
     pos = n
-    for _ in range(config.resolved_layers):
-        ops.extend((sim.CZ, pair) for pair in _entangler_pairs(n))
+    for layer in range(config.layers):
+        ops.extend((sim.CZ, pair) for pair in _entangler_pairs(n, layer))
         ops.extend((sim.ry(theta[pos + q]), (q,)) for q in range(n))
         pos += n
     return tuple(ops)
 
 
-@lru_cache(maxsize=8)
-def _cz_mask(n_qubits: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _cz_mask(n_qubits: int, parity: int) -> np.ndarray:
+    """Diagonal of the CZ layers of ``parity``, as a read-only sign vector."""
     signs = np.ones(1 << n_qubits)
     idx = np.arange(1 << n_qubits)
-    for a, b in _entangler_pairs(n_qubits):
+    for a, b in _entangler_pairs(n_qubits, parity):
         both = ((idx >> a) & 1) & ((idx >> b) & 1)
         signs = signs * np.where(both, -1.0, 1.0)
     signs.flags.writeable = False
@@ -168,11 +176,9 @@ def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
     vecs[:, 0] = 1.0
     for q in range(n):
         _rotate_inplace(vecs, q, cos[:, q], sin[:, q])
-    mask = _cz_mask(n) if n > 1 else None
     pos = n
-    for _ in range(config.resolved_layers):
-        if mask is not None:
-            vecs *= mask
+    for layer in range(config.layers):
+        vecs *= _cz_mask(n, layer % 2)
         for q in range(n):
             _rotate_inplace(vecs, q, cos[:, pos + q], sin[:, pos + q])
         pos += n

@@ -60,6 +60,15 @@ def test_fit_report_sidecar_replays_configuration(tmp_path):
     assert recomputed == pytest.approx(payload["nrmse"], abs=1e-12)
 
 
+def test_layered_fit_sidecar_reports_the_derived_depth(tmp_path):
+    rc = cli.main(["fit", "--function", "sin", "--knots", "8", "--ansatz", "layered",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "fit_sin_K8_seed42.json").read_text())
+    assert payload["ansatz"] == {"kind": "layered", "n_qubits": 3, "layers": 3,
+                                 "entangler": "brick-cz", "n_params": 12}
+
+
 def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
     # the README's capped shots fit: --max-iter bounds iterations, not evaluations
     flags = ["fit", "--function", "sin", "--knots", "4", "--mode", "shots",
@@ -227,15 +236,39 @@ def test_bad_knot_count_is_a_usage_error(tmp_path):
         ["--shots", "-5"],
         ["--restarts", "0"],
         ["--max-iter", "0"],
-        ["--ansatz", "layered", "--layers", "-1"],
+        ["--seed", "-1"],
+        ["--ansatz", "layered", "--layers", "2"],  # the depth follows from K
     ],
 )
 def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
     source = ["--function", "sin"] if command == "fit" else []
     rc = cli.main([command, *source, "--knots", "2", *flags, "--out", str(tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, env", [("ansatz=brick", None), ("layers=2", None),
+                                         ("seed=-1", None), ("", "-1")],
+                         ids=["ansatz-word", "layers-key", "seed-config", "seed-env"])
+def test_bad_settings_from_a_file_or_the_environment_are_usage_errors(
+        tmp_path, capsys, monkeypatch, config, env):
+    if env is None:
+        monkeypatch.delenv("QSPLINE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSPLINE_SEED", env)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(["fit", "--function", "sin", "--knots", "2", "--config", str(cfg),
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error:") and "Traceback" not in "\n".join(err)
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert not out.exists()
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):
@@ -314,7 +347,7 @@ def test_unknown_command_is_a_usage_error():
     assert cli.main(["transmogrify"]) == 1
 
 
-_INT_KEYS = ("knots", "degree", "shots", "restarts", "layers", "max_iter", "seed")
+_INT_KEYS = ("knots", "degree", "shots", "restarts", "max_iter", "seed")
 _CHOICE_KEYS = {"function": sorted(TARGETS), "mode": ["exact", "shots"],
                 "ansatz": ["tree", "layered"]}
 _BOOL_KEYS = ("svg", "classical_only")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qspline import oracle, sim, vqls
+from qspline import oracle, pipeline, sim, vqls
 from qspline.bspline import design_matrix_d1
 from qspline.decomp import pauli_decompose
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
@@ -23,9 +23,10 @@ def _normalized_target(name, knots):
 
 def test_parameter_counts():
     layered = vqls.AnsatzConfig(n_qubits=4)
-    assert layered.resolved_layers == 3
-    assert layered.n_params == 16
+    assert layered.layers == 5
+    assert layered.n_params == 24
     tree = vqls.AnsatzConfig(n_qubits=4, kind="tree")
+    assert tree.layers is None
     assert tree.n_params == 15
     assert vqls.AnsatzConfig(n_qubits=1).n_params == 1
 
@@ -35,6 +36,9 @@ def test_config_validation():
         vqls.AnsatzConfig(n_qubits=0)
     with pytest.raises(ValueError):
         vqls.AnsatzConfig(n_qubits=2, kind="brick")
+    with pytest.raises(ValueError, match="at most 6 qubits"):
+        vqls.AnsatzConfig(n_qubits=7)
+    assert vqls.AnsatzConfig(n_qubits=7, kind="tree").n_params == 127
     with pytest.raises(ValueError):
         vqls.SolveConfig(mode="approximate")
 
@@ -43,7 +47,7 @@ def test_zero_parameters_prepare_the_zero_state():
     for config in (
         vqls.AnsatzConfig(n_qubits=3),
         vqls.AnsatzConfig(n_qubits=3, kind="tree"),
-        vqls.AnsatzConfig(n_qubits=3, layers=2),
+        vqls.AnsatzConfig(n_qubits=4),
     ):
         state = vqls.ansatz_state(config, np.zeros(config.n_params))
         assert abs(state.amplitudes[0] - 1.0) < 1e-12
@@ -54,11 +58,13 @@ def test_zero_parameters_prepare_the_zero_state():
     [
         vqls.AnsatzConfig(n_qubits=2),
         vqls.AnsatzConfig(n_qubits=3, kind="tree"),
-        vqls.AnsatzConfig(n_qubits=3, layers=2),
-        vqls.AnsatzConfig(n_qubits=4, layers=1),
+        vqls.AnsatzConfig(n_qubits=3),
+        vqls.AnsatzConfig(n_qubits=4),
+        vqls.AnsatzConfig(n_qubits=5),
     ],
 )
 def test_fast_state_path_matches_the_gate_sequence(config):
+    # from three qubits on, the brick wall's odd layers differ from a CZ chain
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, 2.0 * np.pi, config.n_params)
     fast = vqls.ansatz_state_vector(config, theta)
@@ -167,7 +173,8 @@ def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind):
 
 def _reference_state(config, theta):
     """Single-point trial state as built before batching: ``np.stack`` down
-    the tree, one scalar-angle Ry at a time for the layered circuit."""
+    the tree, one scalar-angle Ry at a time for the layered circuit, whose
+    brick-wall CZ signs come from the index bits here, not from ``vqls``."""
     n = config.n_qubits
     if config.kind == "tree":
         amps = np.array([1.0])
@@ -188,14 +195,16 @@ def _reference_state(config, theta):
         view[:, 0, :] = c * lo - s * hi
         view[:, 1, :] = s * lo + c * hi
 
+    bits = [(np.arange(1 << n) >> q) & 1 for q in range(n)]
     vec = np.zeros(1 << n)
     vec[0] = 1.0
     for q in range(n):
         rotate(vec, q, theta[q])
     pos = n
-    for _ in range(config.resolved_layers):
-        if n > 1:
-            vec *= vqls._cz_mask(n)
+    for layer in range(config.layers):
+        # CZ on (q, q+1) for every q of the layer's parity: -1 where both bits are 1
+        both = sum(bits[q] & bits[q + 1] for q in range(layer % 2, n - 1, 2))
+        vec *= (-1.0) ** both
         for q in range(n):
             rotate(vec, q, theta[pos + q])
         pos += n
@@ -326,12 +335,37 @@ def test_solve_is_deterministic():
     assert a.cost_trace == b.cost_trace
 
 
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeypatch):
+    def ranks():
+        """Rank of d v / d theta at three seeded points, from one ``_states``
+        call.  Each angle enters one Ry(t) = exp(-i t Y / 2), so half the
+        difference of the states at t +/- pi/2 is the exact derivative, and
+        the missing directions show as singular values at rounding level."""
+        config = vqls.AnsatzConfig(n_qubits=n_qubits)
+        p = config.n_params
+        thetas = np.random.default_rng(n_qubits).uniform(0.0, 2.0 * np.pi, (3, p))
+        shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])  # rows +e_i, -e_i
+        probes = (thetas[:, None, :] + shifts[None]).reshape(-1, p)
+        states = vqls._states(config, probes).reshape(3, p, 2, -1)
+        sv = np.linalg.svd((states[:, :, 0] - states[:, :, 1]) / 2.0, compute_uv=False)
+        return (sv > 1e-10 * sv[:, :1]).sum(axis=1).tolist()
+
+    full = (1 << n_qubits) - 1  # the real unit sphere's dimension
+    assert ranks() == [full] * 3
+    if n_qubits >= 2:
+        shallower = vqls.default_layers(n_qubits) - 1
+        monkeypatch.setattr(vqls, "default_layers", lambda n: shallower)
+        assert max(ranks()) < full
+
+
 def test_layered_ansatz_solves_small_systems_too():
-    system = _spline_system(4)
-    y = _normalized_target("elu", 4)
-    solution = vqls.solve(system, y, vqls.SolveConfig(),
-                          vqls.AnsatzConfig(n_qubits=2))
-    assert solution.final_cost < 1e-3
+    # at K = 4 (two qubits) a brick wall and a CZ chain are the same circuit;
+    # from K = 8 on only the brick wall reaches every real state
+    for name in sorted(TARGETS):
+        rep = pipeline.fit(pipeline.FitConfig(function=name, knots=8, ansatz="layered"))
+        assert rep.converged, name
+        assert rep.nrmse <= 1e-5, (name, rep.nrmse)
 
 
 def test_solve_validates_inputs():

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import oracle, readout, vqls
 from .bspline import design_matrix_d1
-from .functions import TARGETS, minmax_normalize, nrmse, sample_grid
+from .functions import TARGETS, nrmse, sample_grid, target_values
 from .report import FitReport
 
 __all__ = ["FitConfig", "QSPLINES_BASELINE", "BASELINE_KNOTS", "build_system", "fit"]
@@ -26,6 +26,7 @@ QSPLINES_BASELINE = {"elu": 0.4874, "relu": 0.5240, "sigmoid": 0.1589, "sin": No
 BASELINE_KNOTS = 20
 
 _ALLOWED_KNOTS = (2, 4, 8, 16, 32, 64)
+_MAX_SHOTS = 2**63 - 1  # numpy's binomial sampler takes an int64 count
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class FitConfig:
             raise ValueError("only degree-1 fits are supported")
         if self.mode not in ("exact", "shots", "classical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be at least 1, got {self.shots}")
+        if not 1 <= self.shots <= _MAX_SHOTS:
+            raise ValueError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.seed < 0:
@@ -71,19 +72,14 @@ def build_system(knots: int):
     return design_matrix_d1(grid), grid
 
 
-def _target_data(config: FitConfig):
-    target = TARGETS[config.function]
-    xs = sample_grid(config.knots, target.domain)
-    y01, value_range = minmax_normalize(target(xs))
-    return target, xs, y01, value_range
-
-
 def fit(config: FitConfig) -> FitReport:
     """Run one full fit and package the result."""
     if config.mode == "classical":
         return oracle.fit_classical(config.function, config.knots, config.degree)
 
-    target, xs, y01, _ = _target_data(config)
+    target = TARGETS[config.function]
+    xs = sample_grid(config.knots, target.domain)
+    y01, _ = target_values(target, xs)
     system, _ = build_system(config.knots)
     n_qubits = config.knots.bit_length() - 1
 

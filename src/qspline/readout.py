@@ -8,8 +8,8 @@ variational solve only pins the solution ray, not its orientation.
 
 Exact mode reads the overlaps straight off ``S @ beta``.  Shots mode gives
 each one the noise of a Hadamard test between the encoded row and the
-encoded state, drawn with :func:`sim.sample_overlap`; the tests check it
-against the per-row circuits.
+encoded state, all rows drawn together from one seeded generator by
+:func:`sim.sample_overlap`; the tests check it against the per-row circuits.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def recover_estimates(
     the overall sign.  The returned values approximate ``y_norm`` itself.
     Flipping the sign of ``beta_state`` flips both every overlap and the
     sign correction, so the output is unchanged bit for bit in exact mode.
-    Shots mode samples row k's overlap ``(S beta)_k / |x_k|`` with the k-th
-    draw of ``SeedSequence(seed)`` as its seed.
+    Shots mode samples every row's overlap ``(S beta)_k / |x_k|`` in one
+    :func:`sim.sample_overlap` call seeded with ``seed``, row k taking the
+    generator's k-th draw.
     """
     matrix = as_matrix(system)
     dim = matrix.shape[0]
@@ -77,7 +78,7 @@ def recover_estimates(
     if mode == "shots" and (not shots or shots < 1):
         raise ValueError("shots mode needs a positive shot count")
     # row by row, the same arithmetic as normalizing each row for its circuit
-    row_norms = [float(np.linalg.norm(row)) for row in matrix]
+    row_norms = np.array([float(np.linalg.norm(row)) for row in matrix])
     for k, norm in enumerate(row_norms, start=1):
         if norm < SCALE_TOL:
             raise ValueError(f"row {k} is zero and cannot be normalized")
@@ -92,9 +93,5 @@ def recover_estimates(
 
     if mode == "exact":
         return EstimateVector(values=sign * mapped * scale, scale=scale, sign=sign)
-    row_seeds = np.random.SeedSequence(seed).generate_state(dim)
-    values = np.array([
-        sign * norm * sim.sample_overlap(m / norm, shots, int(row_seed)) * scale
-        for m, norm, row_seed in zip(mapped, row_norms, row_seeds)
-    ])
+    values = sign * row_norms * sim.sample_overlap(mapped / row_norms, shots, seed) * scale
     return EstimateVector(values=values, scale=scale, sign=sign)

@@ -12,10 +12,12 @@ Everything is a pure function over immutable values.  Registers stay tiny
 by reshaping the dense amplitude vector rather than by sparse tricks.
 
 The fitting pipeline reads every overlap as a dot product of statevectors
-and draws its shot estimate with :func:`sample_overlap`.  The circuits here
+and draws the shot estimates of one evaluation together, from one seeded
+generator, with :func:`sample_overlap`.  The circuits here
 (:func:`amplitude_encode`, :func:`controlled_ops`, :func:`hadamard_test`) are
 the gate-level reference the tests hold it to; the sampled Hadamard test
-makes the same draw from its ancilla probability.
+makes the same draw from its ancilla probability as the first element of
+:func:`sample_overlap` with the same seed.
 """
 
 from __future__ import annotations
@@ -387,17 +389,20 @@ def hadamard_test(
     return _draw(p1, shots, seed)
 
 
-def sample_overlap(overlap: float, shots: int, seed: int | None = None) -> float:
-    """Shot estimate of a real overlap, as a Hadamard test would return it.
+def sample_overlap(overlaps, shots: int, seed: int | None = None) -> np.ndarray:
+    """Shot estimates of real overlaps, as Hadamard tests would return them.
 
-    The ancilla of the test reads 1 with probability ``(1 - overlap) / 2``;
-    this draws ``shots`` readings from the seeded generator exactly as
-    :func:`hadamard_test` does, without building the circuit.
+    The ancilla of each test reads 1 with probability ``(1 - overlap) / 2``;
+    this draws ``shots`` readings per overlap from one seeded generator in
+    one ``binomial`` call, without building any circuit.  Element 0 is the
+    draw :func:`hadamard_test` makes with the same seed; element i is the
+    i-th draw of that generator.
     """
-    return _draw(min(max((1.0 - overlap) / 2.0, 0.0), 1.0), shots, seed)
+    p1 = np.clip((1.0 - np.asarray(overlaps, dtype=float)) / 2.0, 0.0, 1.0)
+    return _draw(p1, shots, seed)
 
 
-def _draw(p1: float, shots: int, seed: int | None) -> float:
+def _draw(p1, shots: int, seed: int | None):
     if shots < 1:
         raise ValueError("shots must be positive")
     n1 = np.random.default_rng(seed).binomial(shots, p1)

@@ -8,11 +8,12 @@ bidiagonal spline matrix is solved directly.
 Exact mode evaluates the cost straight from matrix algebra.  Shots mode
 assembles the same quantity from the overlaps that Hadamard tests over pairs
 of terms of an LCU decomposition of S estimate: the term states A_l V|0> give
-every pair in one Gram product, and :func:`sim.sample_overlap` adds each
-test's shot noise.  The noise is frozen per restart so a run is reproducible
-and the optimizer sees a fixed landscape.  V(theta) is a rotation tree or a
-brick wall of CZ and Ry layers at a depth fixed by the qubit count;
-:func:`ansatz_ops` lists its gates, which the tests run against the shots cost.
+every pair in one Gram product, and one :func:`sim.sample_overlap` call adds
+the shot noise of every test of the evaluation from one seeded generator.
+The noise is frozen per restart so a run is reproducible and the optimizer
+sees a fixed landscape.  V(theta) is a rotation tree or a brick wall of CZ
+and Ry layers at a depth fixed by the qubit count; :func:`ansatz_ops` lists
+its gates, which the tests run against the shots cost.
 
 In both modes the optimizer evaluates the cost over ``(B, n_params)``
 blocks of parameters: a central-difference gradient is one block of its 2P
@@ -73,17 +74,17 @@ def default_layers(n_qubits: int) -> int:
 class AnsatzConfig:
     """Shape of the trial-state circuit.
 
-    ``layered`` (default) is a brick wall: Ry on every qubit, then
+    ``tree`` (default) reuses the multiplexed-rotation template of
+    amplitude encoding with free angles, which can express any real state
+    exactly and takes encoding angles as a known-good parameter vector.
+    ``layered`` is a brick wall: Ry on every qubit, then
     :func:`default_layers` layers of [CZ on pairs (0,1), (2,3), ... in even
     layers and (1,2), (3,4), ... in odd ones, Ry on every qubit]; its real
-    rotations sweep real unit vectors.  ``tree`` reuses the multiplexed-
-    rotation template of amplitude encoding with free angles, which can
-    express any real state exactly and takes encoding angles as a
-    known-good parameter vector.
+    rotations sweep real unit vectors.
     """
 
     n_qubits: int
-    kind: str = "layered"  # "layered" | "tree"
+    kind: str = "tree"  # "tree" | "layered"
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -253,27 +254,24 @@ def _shots_cost(
     Hadamard-test overlaps.
 
     Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
-    <0|V^dag A_l^dag A_m V|0> are all real because every unitary involved is
-    real, so one real-part test per pair suffices.  Seeds follow one
-    ``SeedSequence(seed)`` stream: the gammas first, then the pairs l < m.
+    G_lm = <0|V^dag A_l^dag A_m V|0> are all real because every unitary
+    involved is real, so one real-part test per pair suffices.  All of them
+    are drawn in one :func:`sim.sample_overlap` call seeded with ``seed``:
+    the gammas first, then the pairs l < m row by row.  The sampled pairs
+    fill both triangles of a unit-diagonal G, and the cost is
+    1 - (c . gamma)^2 / (c^T G c).
     """
     coeffs, unitaries = lcu
     phi = unitaries @ v
-    gram = phi @ phi.T
     n_terms = len(coeffs)
-    seeds = np.random.SeedSequence(seed).generate_state(
-        n_terms + n_terms * (n_terms - 1) // 2
+    pairs = np.triu_indices(n_terms, 1)
+    estimates = sim.sample_overlap(
+        np.concatenate([phi @ y, (phi @ phi.T)[pairs]]), shots, seed
     )
-    stream = iter(int(s) for s in seeds)
-
-    gammas = np.array([sim.sample_overlap(g, shots, next(stream)) for g in phi @ y])
-    numerator = float(coeffs @ gammas) ** 2
-
-    denominator = float(coeffs @ coeffs)  # diagonal pairs are exactly 1
-    for l in range(n_terms):
-        for m in range(l + 1, n_terms):
-            est = sim.sample_overlap(gram[l, m], shots, next(stream))
-            denominator += 2.0 * coeffs[l] * coeffs[m] * est
+    gram = np.eye(n_terms)  # diagonal pairs are exactly 1
+    gram[pairs] = gram.T[pairs] = estimates[n_terms:]
+    numerator = float(coeffs @ estimates[:n_terms]) ** 2
+    denominator = float(coeffs @ gram @ coeffs)
     if denominator <= 0.0:
         # heavy shot noise can push the estimate out of range; clip hard
         return 1.0

@@ -102,20 +102,21 @@ def test_recovery_shots_mode_runs_and_is_seeded():
 
 
 def test_shots_recovery_equals_per_row_overlaps():
-    # the gate-level reference: one Hadamard test per row between the encoded
-    # row and the encoded state, seeded with the row's draw of the stream
+    # the gate-level reference: the exact overlap of one Hadamard-test circuit
+    # per row, between the encoded row and the encoded state, with every row
+    # drawn in one binomial call on default_rng(seed)
     system, y_unit = _system_and_unit_target("sin", 8)
     state = _oracle_state(system, y_unit)
     est = readout.recover_estimates(system, state, y_unit, mode="shots",
                                     shots=2_000, seed=21)
     beta_ops = sim.amplitude_encode(state.amplitudes.real).ops
-    row_seeds = np.random.SeedSequence(21).generate_state(8)
-    expected = []
-    for k in range(8):
-        row = system.entries[k]
-        overlap = sim.hadamard_test(sim.amplitude_encode(row).ops, beta_ops, 3,
-                                    shots=2_000, seed=int(row_seeds[k]))
-        expected.append(est.sign * float(np.linalg.norm(row)) * overlap * est.scale)
+    rows = system.entries
+    exact = np.array([sim.hadamard_test(sim.amplitude_encode(row).ops, beta_ops, 3)
+                      for row in rows])
+    p1 = np.clip((1.0 - exact) / 2.0, 0.0, 1.0)
+    overlaps = (2_000 - 2 * np.random.default_rng(21).binomial(2_000, p1)) / 2_000
+    expected = [est.sign * float(np.linalg.norm(row)) * overlap * est.scale
+                for row, overlap in zip(rows, overlaps)]
     assert np.array_equal(est.values, expected)
 
 

@@ -176,12 +176,25 @@ def test_sample_overlap_makes_the_hadamard_test_draw(n_qubits):
             seed = 1000 * n_qubits + 10 * i + shots % 7
             circuit = sim.hadamard_test(left.ops, right.ops, n_qubits, shots=shots, seed=seed)
             assert sim.sample_overlap(overlap, shots, seed) == circuit
+            # a vector of overlaps is one binomial call on the same generator
+            overlaps = np.array([overlap, -0.3, 0.9, 1.0, -1.0])
+            drawn = sim.sample_overlap(overlaps, shots, seed)
+            assert drawn[0] == circuit
+            n1 = np.random.default_rng(seed).binomial(shots, (1.0 - overlaps) / 2.0)
+            assert drawn.tolist() == ((shots - 2 * n1) / shots).tolist()
 
 
 def test_sample_overlap_rejects_bad_shot_counts():
     for shots in (0, -3):
         with pytest.raises(ValueError):
             sim.sample_overlap(0.5, shots, 1)
+
+
+def test_sample_overlap_takes_the_largest_shot_count():
+    # 2 * n1 wraps in int64 there, and the difference wraps back exactly
+    drawn = sim.sample_overlap([-1.0, 1.0, 0.5], 2**63 - 1, 3)
+    assert drawn[:2].tolist() == [-1.0, 1.0]
+    assert abs(drawn[2] - 0.5) < 1e-6
 
 
 def test_hadamard_test_validates_qubit_range():

@@ -22,13 +22,14 @@ def _normalized_target(name, knots):
 
 
 def test_parameter_counts():
-    layered = vqls.AnsatzConfig(n_qubits=4)
+    layered = vqls.AnsatzConfig(n_qubits=4, kind="layered")
     assert layered.layers == 5
     assert layered.n_params == 24
-    tree = vqls.AnsatzConfig(n_qubits=4, kind="tree")
+    tree = vqls.AnsatzConfig(n_qubits=4)
+    assert tree.kind == "tree"
     assert tree.layers is None
     assert tree.n_params == 15
-    assert vqls.AnsatzConfig(n_qubits=1).n_params == 1
+    assert vqls.AnsatzConfig(n_qubits=1, kind="layered").n_params == 1
 
 
 def test_config_validation():
@@ -37,17 +38,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         vqls.AnsatzConfig(n_qubits=2, kind="brick")
     with pytest.raises(ValueError, match="at most 6 qubits"):
-        vqls.AnsatzConfig(n_qubits=7)
-    assert vqls.AnsatzConfig(n_qubits=7, kind="tree").n_params == 127
+        vqls.AnsatzConfig(n_qubits=7, kind="layered")
+    assert vqls.AnsatzConfig(n_qubits=7).n_params == 127
     with pytest.raises(ValueError):
         vqls.SolveConfig(mode="approximate")
 
 
 def test_zero_parameters_prepare_the_zero_state():
     for config in (
-        vqls.AnsatzConfig(n_qubits=3),
+        vqls.AnsatzConfig(n_qubits=3, kind="layered"),
         vqls.AnsatzConfig(n_qubits=3, kind="tree"),
-        vqls.AnsatzConfig(n_qubits=4),
+        vqls.AnsatzConfig(n_qubits=4, kind="layered"),
     ):
         state = vqls.ansatz_state(config, np.zeros(config.n_params))
         assert abs(state.amplitudes[0] - 1.0) < 1e-12
@@ -56,11 +57,11 @@ def test_zero_parameters_prepare_the_zero_state():
 @pytest.mark.parametrize(
     "config",
     [
-        vqls.AnsatzConfig(n_qubits=2),
+        vqls.AnsatzConfig(n_qubits=2, kind="layered"),
         vqls.AnsatzConfig(n_qubits=3, kind="tree"),
-        vqls.AnsatzConfig(n_qubits=3),
-        vqls.AnsatzConfig(n_qubits=4),
-        vqls.AnsatzConfig(n_qubits=5),
+        vqls.AnsatzConfig(n_qubits=3, kind="layered"),
+        vqls.AnsatzConfig(n_qubits=4, kind="layered"),
+        vqls.AnsatzConfig(n_qubits=5, kind="layered"),
     ],
 )
 def test_fast_state_path_matches_the_gate_sequence(config):
@@ -74,7 +75,7 @@ def test_fast_state_path_matches_the_gate_sequence(config):
 
 
 def test_parameter_length_is_checked():
-    config = vqls.AnsatzConfig(n_qubits=2)
+    config = vqls.AnsatzConfig(n_qubits=2, kind="layered")
     with pytest.raises(ValueError):
         vqls.ansatz_ops(config, np.zeros(3))
 
@@ -121,35 +122,30 @@ def test_shots_cost_tracks_exact_cost():
 
 
 def _circuit_shots_cost(matrix, y, config, theta, shots, seed):
-    """Gate-level reference of the sampled cost: one Hadamard test per term
-    (target against trial-then-term) and per pair of terms, seeded from one
-    ``SeedSequence(seed)`` stream in that order."""
+    """Gate-level reference of the sampled cost: the exact overlap of one
+    Hadamard-test circuit per term (target against trial-then-term) and per
+    pair of terms l < m, in that order, all drawn with one ``binomial`` call
+    on ``default_rng(seed)``."""
     lcu = pauli_decompose(matrix)
     n = config.n_qubits
     v_ops = list(vqls.ansatz_ops(config, theta))
     y_ops = list(sim.amplitude_encode(y).ops)
     coeffs = lcu.coefficients()
     term_ops = [list(t.ops()) for t in lcu.terms]
-    seeds = np.random.SeedSequence(seed).generate_state(
-        len(term_ops) + len(term_ops) * (len(term_ops) - 1) // 2
-    )
-    stream = iter(int(s) for s in seeds)
+    n_terms = len(term_ops)
+    pairs = [(l, m) for l in range(n_terms) for m in range(l + 1, n_terms)]
 
-    gammas = np.array(
-        [
-            sim.hadamard_test(y_ops, v_ops + ops_l, n, shots=shots, seed=next(stream))
-            for ops_l in term_ops
-        ]
-    )
-    numerator = float(coeffs @ gammas) ** 2
+    exact = [sim.hadamard_test(y_ops, v_ops + ops_l, n) for ops_l in term_ops]
+    exact += [sim.hadamard_test(v_ops + term_ops[l], v_ops + term_ops[m], n)
+              for l, m in pairs]
+    p1 = np.clip((1.0 - np.array(exact)) / 2.0, 0.0, 1.0)
+    estimates = (shots - 2 * np.random.default_rng(seed).binomial(shots, p1)) / shots
 
-    denominator = float(coeffs @ coeffs)
-    for l in range(len(term_ops)):
-        for m in range(l + 1, len(term_ops)):
-            est = sim.hadamard_test(
-                v_ops + term_ops[l], v_ops + term_ops[m], n, shots=shots, seed=next(stream)
-            )
-            denominator += 2.0 * coeffs[l] * coeffs[m] * est
+    gram = np.eye(n_terms)
+    for (l, m), est in zip(pairs, estimates[n_terms:]):
+        gram[l, m] = gram[m, l] = est
+    numerator = float(coeffs @ estimates[:n_terms]) ** 2
+    denominator = float(coeffs @ gram @ coeffs)
     if denominator <= 0.0:
         return 1.0
     return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
@@ -342,7 +338,7 @@ def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeyp
         call.  Each angle enters one Ry(t) = exp(-i t Y / 2), so half the
         difference of the states at t +/- pi/2 is the exact derivative, and
         the missing directions show as singular values at rounding level."""
-        config = vqls.AnsatzConfig(n_qubits=n_qubits)
+        config = vqls.AnsatzConfig(n_qubits=n_qubits, kind="layered")
         p = config.n_params
         thetas = np.random.default_rng(n_qubits).uniform(0.0, 2.0 * np.pi, (3, p))
         shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])  # rows +e_i, -e_i

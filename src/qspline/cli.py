@@ -261,7 +261,9 @@ def cmd_bench(settings: dict) -> int:
     already imported here, where a spawned one would spend about 0.8 s
     importing them again.  Results are read in ``BENCH_ORDER`` and a failed
     fit is reported as it would be in-process, so every output is the same
-    as a serial run.  Classical-only fits take microseconds, less than
+    as a serial run.  A fit that fails, or whose solve did not converge (one
+    ``warning:`` line each, its best effort still written), makes the exit
+    code 2.  Classical-only fits take microseconds, less than
     starting and stopping a pool, so they stay in-process.  So do all fits
     on one usable core, where ``fork`` is missing, and where this process
     runs other threads, whose held locks a forked child would inherit.
@@ -283,9 +285,13 @@ def cmd_bench(settings: dict) -> int:
                 reports[name] = None
                 failed = True
 
-    for rep in reports.values():
+    for name, rep in reports.items():
         if rep is not None:
             _write_outputs(rep, settings["out"], settings["svg"])
+            if not rep.converged:
+                print(f"warning: {name} solve did not converge; best effort written",
+                      file=sys.stderr)
+                failed = True
 
     def cell(rep):
         return math.nan if rep is None else rep.nrmse

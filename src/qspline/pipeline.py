@@ -131,7 +131,8 @@ def fit(config: FitConfig) -> FitReport:
         optimizer={
             "name": "gd",
             "learning_rate": vqls.LEARNING_RATE,
-            "fd_step": vqls.FD_STEP,
+            # exact mode takes its gradient from the adjoint sweep
+            "fd_step": vqls.FD_STEP if config.mode == "shots" else None,
             "max_iter": solve_cfg.max_iter,
             "tol": vqls.TOL,
             "restarts": solve_cfg.restarts,
@@ -145,6 +146,7 @@ def fit(config: FitConfig) -> FitReport:
         nrmse=float(nrmse(y_estimate, y01)),
         classical_nrmse=classical.nrmse,
         final_cost=solution.final_cost,
+        cost_trace=list(solution.cost_trace),
         converged=solution.converged,
         restarts_used=solution.restarts_used,
         mean_bias=float(np.mean(y_estimate - y01)),

@@ -48,12 +48,14 @@ class FitReport:
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
     # quantum fits only: {"cost_rows", "gradients"} over all restarts, cond(S),
-    # one {"final_cost", "cost_rows", "gradients"} per restart run, and the
-    # seconds of the fit's stages {"solve_s", "readout_s", "classical_s"}
+    # one {"final_cost", "cost_rows", "gradients", "stop_reason"} per restart
+    # run, the seconds of the fit's stages {"solve_s", "readout_s",
+    # "classical_s"}, and the best restart's non-increasing cost trace
     evaluations: dict | None = None
     condition_number: float | None = None
     restarts: list | None = None
     timings: dict | None = None
+    cost_trace: list | None = None
 
     def __post_init__(self):
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}

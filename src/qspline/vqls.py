@@ -5,19 +5,22 @@ The global cost ``C(theta) = 1 - |<Y|psi>|^2 / <psi|psi>`` with
 the (normalized) system, and it never needs S to be Hermitian, so the
 bidiagonal spline matrix is solved directly.
 
-Exact mode evaluates the cost straight from matrix algebra.  Shots mode
-assembles the same quantity from the overlaps that Hadamard tests over pairs
-of terms of an LCU decomposition of S estimate: the term states A_l V|0> give
-every pair in one Gram product, and one :func:`sim.sample_overlap` call adds
-the shot noise of every test of the evaluation from one seeded generator.
-The noise is frozen per restart so a run is reproducible and the optimizer
-sees a fixed landscape.  V(theta) is a rotation tree or a brick wall of CZ
-and Ry layers at a depth fixed by the qubit count; :func:`ansatz_ops` lists
-its gates, which the tests run against the shots cost.
-
-In both modes the optimizer evaluates the cost over ``(B, n_params)``
-blocks of parameters: a central-difference gradient is one block of its 2P
-probe rows, and a single point is a block of one.
+Exact mode evaluates the cost straight from matrix algebra, as
+``C = |r|^2 / d`` with ``d = psi . psi`` and the residual
+``r = psi - (Y . psi) Y``: the same number without the cancellation of
+``1 - ...`` near a solution.  Its gradient is one adjoint sweep
+(Jones & Gacon, 2020): dC/dv = S^T (2/d)(r - C psi) pulled back through the
+trial circuit in reverse, at about the price of one more state build.
+Shots mode assembles the cost from the overlaps that Hadamard tests over
+pairs of terms of an LCU decomposition of S estimate: the term states
+A_l V|0> give every pair in one Gram product, and one
+:func:`sim.sample_overlap` call adds the shot noise of every test of the
+evaluation from one seeded generator.  The noise is frozen per restart so a
+run is reproducible and the optimizer sees a fixed landscape; its gradient is
+a central difference, one block of its 2P probe rows.  V(theta) is a
+rotation tree or a brick wall of CZ and Ry layers at a depth fixed by the
+qubit count; :func:`ansatz_ops` lists its gates, which the tests run against
+the shots cost.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
 
 # step sizes and stopping thresholds of the descent loop, in both modes
 LEARNING_RATE = 0.1
-FD_STEP = 1e-4
+FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
 TOL = 1e-9  # stop once an accepted step improves the cost by less
 STOP_COST = 1e-8  # good enough to skip the remaining restarts
 SUCCESS_COST = 1e-3  # below this the solve counts as converged
@@ -151,6 +154,31 @@ def _rotate_inplace(vecs: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) 
     view[:, :, 1, :] = s * lo + c * hi
 
 
+def _half_angles(thetas: np.ndarray) -> tuple:
+    """Cosines and sines of the half angles of a parameter block."""
+    half = thetas / 2.0
+    return np.cos(half), np.sin(half)
+
+
+def _tree_levels(cos: np.ndarray, sin: np.ndarray, n_qubits: int) -> list:
+    """Amplitudes of every level of the rotation tree, root first.
+
+    Level l holds the 2^l prefix amplitudes of each row: walking down, the
+    children of a node split its amplitude by the cosine and sine of its
+    angle, so the last level is the trial state.
+    """
+    levels = [np.ones((len(cos), 1))]
+    pos = 0
+    for level in range(n_qubits):
+        width = 1 << level
+        children = np.empty((len(cos), 2 * width))
+        np.multiply(levels[-1], cos[:, pos : pos + width], out=children[:, 0::2])
+        np.multiply(levels[-1], sin[:, pos : pos + width], out=children[:, 1::2])
+        levels.append(children)
+        pos += width
+    return levels
+
+
 def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
     """Trial states of a ``(B, n_params)`` block of parameters, one row each.
 
@@ -159,20 +187,9 @@ def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
     """
     n = config.n_qubits
     rows = len(thetas)
-    half = thetas / 2.0
-    cos, sin = np.cos(half), np.sin(half)
+    cos, sin = _half_angles(thetas)
     if config.kind == "tree":
-        # walk the rotation tree: children split the parent amplitude
-        amps = np.ones((rows, 1))
-        pos = 0
-        for level in range(n):
-            width = 1 << level
-            children = np.empty((rows, 2 * width))
-            np.multiply(amps, cos[:, pos : pos + width], out=children[:, 0::2])
-            np.multiply(amps, sin[:, pos : pos + width], out=children[:, 1::2])
-            amps = children
-            pos += width
-        return amps
+        return _tree_levels(cos, sin, n)[-1]
     vecs = np.zeros((rows, 1 << n))
     vecs[:, 0] = 1.0
     for q in range(n):
@@ -186,17 +203,12 @@ def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _one_row(config: AnsatzConfig, theta) -> np.ndarray:
-    """``theta`` as a ``(1, n_params)`` float block, its length checked."""
+def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
+    """Real amplitude vector of the trial state, on the fast direct path."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != config.n_params:
         raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
-    return theta[None, :]
-
-
-def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
-    """Real amplitude vector of the trial state, on the fast direct path."""
-    return _states(config, _one_row(config, theta))[0]
+    return _states(config, theta[None, :])[0]
 
 
 def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumState:
@@ -220,21 +232,86 @@ def _y_vector(y_state) -> np.ndarray:
     return y / norm
 
 
-def _exact_costs(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig,
-                 thetas: np.ndarray) -> np.ndarray:
-    """Exact cost of every row of a ``(B, n_params)`` block.
+def _exact_cost(matrix: np.ndarray, y: np.ndarray, v: np.ndarray) -> tuple:
+    """Exact cost at trial state ``v``, with the terms its gradient needs.
 
-    The stacked products run one BLAS matrix-vector product and two dot
-    products per row, the same calls ``matrix @ v``, ``psi @ psi`` and
-    ``y @ psi`` make for one state; a single GEMM over the block (or
-    ``einsum``) sums in another order and moves the last bit of some costs.
+    Returns ``(C, psi, r, d)`` for ``psi = S v``, ``d = psi . psi`` and the
+    residual ``r = psi - (y . psi) y``, where ``C = (r . r) / d``.  It equals
+    ``1 - (y . psi)^2 / d`` but keeps its digits near a solution, where that
+    difference of two numbers close to 1 cannot go below about 1e-16.
     """
-    psi = (matrix[None] @ _states(config, thetas)[:, :, None])[:, :, 0]
-    denom = (psi[:, None, :] @ psi[:, :, None])[:, 0, 0]
-    if (denom < 1e-280).any():
+    psi = matrix @ v
+    denom = float(psi @ psi)
+    if denom < 1e-280:
         raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-    overlap = (y[None, None, :] @ psi[:, :, None])[:, 0, 0]
-    return np.minimum(np.maximum(1.0 - (overlap * overlap) / denom, 0.0), 1.0)
+    residual = psi - float(y @ psi) * y
+    cost = min(float(residual @ residual) / denom, 1.0)
+    return cost, psi, residual, denom
+
+
+def _exact_forward(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig,
+                   theta: np.ndarray) -> tuple:
+    """Forward pass of one exact point: everything its cost and its adjoint
+    sweep need.
+
+    Returns ``(cos, sin, amps, terms)``: the half-angle cosines and sines of
+    ``theta``; the amplitudes the sweep reads, which are every level of the
+    tree (root first, the trial state last) or the layered trial state
+    alone; and the ``(C, psi, r, d)`` of :func:`_exact_cost` at the trial
+    state, which is the row ``_states`` builds for ``theta``.
+    """
+    cos, sin = _half_angles(theta[None, :])
+    if config.kind == "tree":
+        amps = [level[0] for level in _tree_levels(cos, sin, config.n_qubits)]
+    else:
+        amps = [_states(config, theta[None, :])[0]]
+    return cos[0], sin[0], amps, _exact_cost(matrix, y, amps[-1])
+
+
+def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple) -> np.ndarray:
+    """Gradient of the exact cost in one backward sweep over a forward pass.
+
+    The sweep starts from g = dC/dv = S^T (2/d)(r - C psi) and pulls it back
+    through the circuit in reverse.  In the tree, a node of angle t and
+    prefix amplitude a splits into children whose subtrees sum g against
+    their amplitudes to u_L and u_R; then dC/dt = a (-sin(t/2) u_L +
+    cos(t/2) u_R) / 2, and the node's own sum is cos(t/2) u_L + sin(t/2) u_R.
+    In the brick wall, a rotation's derivative is half the pair rotation
+    J = [[0, -1], [1, 0]] applied after it, so dC/dt = (lam . J psi) / 2 for
+    the state psi and cotangent lam right after that gate; both are then
+    rotated back by -t, and a CZ layer's sign mask undoes itself.
+    """
+    cos, sin, amps, (cost, psi, residual, denom) = forward
+    n = config.n_qubits
+    g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
+    grad = np.empty(config.n_params)
+    if config.kind == "tree":
+        u = g
+        for level in range(n - 1, -1, -1):
+            width = 1 << level
+            span = slice(width - 1, 2 * width - 1)  # this level's angles
+            c, s = cos[span], sin[span]
+            u_left, u_right = u[0::2], u[1::2]
+            grad[span] = amps[level] * (c * u_right - s * u_left) / 2.0
+            u = c * u_left + s * u_right
+        return grad
+
+    pair = np.stack([amps[-1], g])  # the state and its cotangent, rotated back together
+    pos = config.n_params
+    for layer in range(config.layers, -1, -1):
+        pos -= n
+        for q in range(n - 1, -1, -1):
+            view = pair.reshape(-1, 2, 1 << q)  # state blocks, then cotangent blocks
+            state, lam = view[: len(view) // 2], view[len(view) // 2 :]
+            grad[pos + q] = (np.sum(lam[:, 1] * state[:, 0])
+                             - np.sum(lam[:, 0] * state[:, 1])) / 2.0
+            c, s = cos[pos + q], sin[pos + q]
+            lo = view[:, 0].copy()
+            view[:, 0] = c * lo + s * view[:, 1]
+            view[:, 1] = c * view[:, 1] - s * lo
+        if layer:
+            pair *= _cz_mask(n, (layer - 1) % 2)
+    return grad
 
 
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
@@ -296,7 +373,7 @@ def cost_global(
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with Y."""
     y = _y_vector(y_state)
     if mode == "exact":
-        return float(_exact_costs(as_matrix(system), y, config, _one_row(config, theta))[0])
+        return _exact_cost(as_matrix(system), y, ansatz_state_vector(config, theta))[0]
     if mode == "shots":
         if not shots or shots < 1:
             raise ValueError("shots mode needs a positive shot count")
@@ -332,12 +409,20 @@ class SolveConfig:
 class VqlsSolution:
     """Best restart of a variational solve.
 
-    ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients"}``
-    record per restart run, in order: ``cost_rows`` counts parameter points
-    whose cost was evaluated (gradient probes included) and ``gradients``
-    the central-difference gradients.  ``evaluations`` sums the two counts
-    over every restart.  ``condition_number`` is cond(S), from the
-    singularity check.
+    ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
+    "stop_reason"}`` record per restart run, in order.  ``cost_rows`` counts
+    the parameter points whose cost was evaluated: in exact mode each line
+    search or BFGS point is one row and so is each adjoint sweep, which needs
+    the cost at its point (it reuses the forward pass of a point taken at the
+    same parameters); in shots mode a central-difference gradient adds its 2P
+    probe rows.  ``gradients`` counts the sweeps, or the
+    central-difference gradients.  ``stop_reason`` is why the last stage that
+    lowered the restart's cost stopped: ``"stop cost"`` (it reached
+    ``STOP_COST``), ``"tol"`` (a descent step gained less than ``TOL``),
+    ``"no descent"`` (no step size lowered the cost), ``"max_iter"``, or the
+    message of the BFGS polish.  ``evaluations`` sums the two counts over
+    every restart, and ``cost_trace`` is the best restart's.
+    ``condition_number`` is cond(S), from the singularity check.
     """
 
     theta: np.ndarray
@@ -365,12 +450,42 @@ def _fd_gradient(costs: Callable, theta: np.ndarray, step: float) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
-class _Objective:
-    """One restart's cost, evaluated over ``(B, n_params)`` blocks.
+class _ExactObjective:
+    """One restart's exact cost: a point is one forward pass, a gradient one
+    adjoint sweep, and both count as one cost row.
 
-    A single point is a batch of one and a gradient is one batch of its
-    probe rows; both pass through :meth:`costs`, which counts the rows.
+    The optimizers ask for the gradient where they last took the cost, so
+    the sweep reuses the forward pass of the last point when its parameters
+    are the same, bit for bit.
     """
+
+    def __init__(self, matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig):
+        self._matrix, self._y, self._config = matrix, y, config
+        self._last = (None, None)  # parameter bytes and forward pass of the last point
+        self.cost_rows = 0
+        self.gradients = 0
+
+    def _forward(self, theta) -> tuple:
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        if key != self._last[0]:
+            self._last = (key, _exact_forward(self._matrix, self._y, self._config, theta))
+        return self._last[1]
+
+    def __call__(self, theta) -> float:
+        self.cost_rows += 1
+        return self._forward(theta)[3][0]
+
+    def gradient(self, theta) -> np.ndarray:
+        self.cost_rows += 1
+        self.gradients += 1
+        return _adjoint_sweep(self._matrix, self._config, self._forward(theta))
+
+
+class _ShotsObjective:
+    """One restart's sampled cost over ``(B, n_params)`` blocks: a point is a
+    batch of one, and a central-difference gradient one batch of its probe
+    rows; :meth:`costs` counts the rows."""
 
     def __init__(self, costs: Callable[[np.ndarray], np.ndarray]):
         self._costs = costs
@@ -389,22 +504,25 @@ class _Objective:
         return _fd_gradient(self.costs, np.asarray(theta, dtype=float), FD_STEP)
 
 
-def _descend(f: _Objective, theta0: np.ndarray, max_iter: int):
-    """First-order descent with central differences and backtracking halving.
+def _descend(f, theta0: np.ndarray, max_iter: int):
+    """First-order descent with backtracking halving.
 
     The trial step starts from a Barzilai-Borwein estimate when history is
     available (plain learning rate otherwise) and is halved until the cost
-    actually decreases, so the recorded trace is non-increasing.
+    actually decreases, so the recorded trace is non-increasing.  Returns
+    the end point, its cost, the trace and why the descent stopped.
     """
     theta = theta0.astype(float).copy()
     cost = f(theta)
     trace = [cost]
     prev_theta = None
     prev_grad = None
+    reason = "max_iter"
     for _ in range(max_iter):
         grad = f.gradient(theta)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0 or not np.isfinite(gnorm2):
+            reason = "no descent"
             break
         alpha = LEARNING_RATE
         if prev_grad is not None:
@@ -424,29 +542,35 @@ def _descend(f: _Objective, theta0: np.ndarray, max_iter: int):
                 break
             alpha *= 0.5
         if accepted is None:
+            reason = "no descent"
             break
         prev_theta, prev_grad = theta, grad
         theta, new_cost = accepted
         improvement = cost - new_cost
         cost = new_cost
         trace.append(cost)
-        if cost <= 1e-15 or improvement < TOL:
+        if cost <= 1e-15:
+            reason = "stop cost"
             break
-    return theta, cost, trace
+        if improvement < TOL:
+            reason = "tol"
+            break
+    return theta, cost, trace, reason
 
 
-def _minimize_gd(f: _Objective, theta0: np.ndarray, max_iter: int):
+def _minimize_gd(f, theta0: np.ndarray, max_iter: int):
     """Gradient descent, then a quasi-Newton polish with the same gradients.
 
     The spline systems are ill-conditioned (squared condition number near
     1e8 for 16 knots), so step-halving descent stalls in a narrow curved
     valley where per-step improvement drops below ``TOL`` long before the
-    basin floor.  A BFGS pass fed by the identical central-difference
-    gradients models that curvature and keeps descending; a short descent
-    re-run between passes restarts the step-size history.  The returned
-    trace stays non-increasing because only improvements are appended.
+    basin floor.  A BFGS pass fed by the identical gradients models that
+    curvature and keeps descending; a short descent re-run between passes
+    restarts the step-size history.  The returned trace stays
+    non-increasing because only improvements are appended, and the stop
+    reason is that of the last stage that lowered the cost.
     """
-    theta, cost, trace = _descend(f, theta0, max_iter)
+    theta, cost, trace, reason = _descend(f, theta0, max_iter)
     for _ in range(2):
         if cost <= STOP_COST:
             break
@@ -459,13 +583,15 @@ def _minimize_gd(f: _Objective, theta0: np.ndarray, max_iter: int):
         )
         polished = float(result.fun)
         if np.isfinite(polished) and polished < cost:
-            theta, cost = np.asarray(result.x, dtype=float), polished
+            theta, cost, reason = np.asarray(result.x, dtype=float), polished, result.message
             trace.append(cost)
-        theta2, cost2, _ = _descend(f, theta, max(max_iter // 4, 1))
+        theta2, cost2, _, reason2 = _descend(f, theta, max(max_iter // 4, 1))
         if cost2 < cost:
-            theta, cost = theta2, cost2
+            theta, cost, reason = theta2, cost2, reason2
             trace.append(cost)
-    return theta, cost, trace
+    if cost <= STOP_COST:
+        reason = "stop cost"
+    return theta, cost, trace, reason
 
 
 def solve(
@@ -509,13 +635,14 @@ def solve(
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
         if cfg.mode == "exact":
-            f = _Objective(lambda ts: _exact_costs(matrix, y_vec, ans, ts))
+            f = _ExactObjective(matrix, y_vec, ans)
         else:
             noise_seed = int(rng.integers(0, 2**31 - 1))
-            f = _Objective(lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
-        theta, cost, trace = _minimize_gd(f, theta0, cfg.max_iter)
+            f = _ShotsObjective(
+                lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
+        theta, cost, trace, reason = _minimize_gd(f, theta0, cfg.max_iter)
         records.append({"final_cost": float(cost), "cost_rows": f.cost_rows,
-                        "gradients": f.gradients})
+                        "gradients": f.gradients, "stop_reason": reason})
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
         if best[1] <= STOP_COST:

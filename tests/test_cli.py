@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspline import cli, pipeline
+from qspline import cli, pipeline, vqls
 from qspline.functions import TARGETS
 from qspline.report import CSV_HEADER, format_number
 
@@ -80,6 +80,7 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
     first, again = payloads
     assert first["evaluations"] == {"cost_rows": 572, "gradients": 61}
     assert again["evaluations"] == first["evaluations"]
+    assert first["optimizer"]["fd_step"] == vqls.FD_STEP  # shots mode keeps central differences
     system, _ = pipeline.build_system(4)
     assert first["condition_number"] == float(np.linalg.cond(system.entries))
 
@@ -103,6 +104,12 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
     for key in ("cost_rows", "gradients"):
         assert sum(r[key] for r in restarts) == first["evaluations"][key]
     assert first["final_cost"] == min(r["final_cost"] for r in restarts)
+    # one iteration per stage: the last stage that lowered each cost ran out of them
+    assert [r["stop_reason"] for r in restarts] == ["max_iter"] * 5
+    trace = first["cost_trace"]
+    assert trace[-1] == first["final_cost"]
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    assert first["optimizer"]["fd_step"] is None  # the exact gradient is an adjoint sweep
     assert again["restarts"] == restarts
     assert set(first["timings"]) == {"solve_s", "readout_s", "classical_s"}
     assert all(seconds >= 0.0 for seconds in first["timings"].values())
@@ -112,6 +119,34 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
     classical = json.loads((tmp_path / "c" / "fit_elu_K8_seednone.json").read_text())
     assert classical["restarts"] is None
     assert classical["timings"] is None
+    assert classical["cost_trace"] is None
+
+
+def test_restarts_record_why_each_one_stopped(tmp_path):
+    assert cli.main(["fit", "--function", "sin", "--knots", "8", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fit_sin_K8_seed42.json").read_text())
+    # the first restart reaches STOP_COST and ends the solve
+    assert [r["stop_reason"] for r in payload["restarts"]] == ["stop cost"]
+    assert payload["final_cost"] <= vqls.STOP_COST
+
+
+def test_bench_reports_each_unconverged_fit_and_exits_2(tmp_path, capsys):
+    # at K=2 every target normalizes to (0, 1), and one restart of one
+    # iteration per stage ends each fit at cost 0.041, above SUCCESS_COST
+    rc = cli.main(["bench", "--knots", "2", "--max-iter", "1", "--restarts", "1",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {name} solve did not converge; best effort written"
+        for name in cli.BENCH_ORDER
+    ]
+    for name in cli.BENCH_ORDER:
+        payload = json.loads((tmp_path / f"fit_{name}_K2_seed42.json").read_text())
+        assert payload["converged"] is False
+        assert payload["final_cost"] > vqls.SUCCESS_COST
+        assert (tmp_path / f"fit_{name}_K2_seed42.csv").exists()
+    summary = (tmp_path / "bench_K2_seed42.csv").read_text().splitlines()
+    assert summary[-1].startswith("vqls,2,")
 
 
 def _force_cores(monkeypatch, cores: int) -> list:

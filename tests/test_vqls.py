@@ -208,14 +208,14 @@ def _reference_state(config, theta):
 
 
 def _reference_cost(matrix, y, config, theta):
-    """Single-point exact cost: ``S @ v``, ``psi @ psi`` and ``y @ psi``."""
+    """Single-point exact cost: ``S @ v``, ``psi @ psi``, the residual
+    ``psi - (y @ psi) y`` and its squared norm over ``psi @ psi``."""
     psi = matrix @ _reference_state(config, theta)
     denom = float(psi @ psi)
     if denom < 1e-280:
         raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-    overlap = float(y @ psi)
-    cost = 1.0 - (overlap * overlap) / denom
-    return min(max(cost, 0.0), 1.0)
+    residual = psi - float(y @ psi) * y
+    return min(float(residual @ residual) / denom, 1.0)
 
 
 def _reference_gradient(f, theta, step):
@@ -231,33 +231,61 @@ def _reference_gradient(f, theta, step):
     return grad
 
 
+def _elu_system(knots, kind):
+    matrix = _spline_system(knots).entries
+    y = _normalized_target("elu", knots)
+    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+    return matrix, y / np.linalg.norm(y), config
+
+
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
 def test_batched_objective_equals_the_per_point_formula(knots, kind):
-    matrix = _spline_system(knots).entries
-    y = _normalized_target("elu", knots)
-    y = y / np.linalg.norm(y)
-    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+    matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 
     states = vqls._states(config, thetas)
     want_states = np.array([_reference_state(config, t) for t in thetas])
     assert states.tobytes() == want_states.tobytes()
 
-    costs = vqls._exact_costs(matrix, y, config, thetas)
+    costs = np.array([vqls._exact_cost(matrix, y, v)[0] for v in states])
     want = np.array([_reference_cost(matrix, y, config, t) for t in thetas])
     assert costs.tobytes() == want.tobytes()
 
-    objective = vqls._Objective(lambda ts: vqls._exact_costs(matrix, y, config, ts))
-    for theta in thetas[:4]:
-        assert objective(theta) == _reference_cost(matrix, y, config, theta)
-        grad = objective.gradient(theta)
-        want_grad = _reference_gradient(
+    objective = vqls._ExactObjective(matrix, y, config)
+    for theta, cost in zip(thetas, want):
+        assert objective(theta) == cost
+    assert objective.cost_rows == len(thetas)
+    assert objective.gradients == 0
+
+
+@pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_adjoint_gradient_matches_central_differences(knots, kind):
+    matrix, y, config = _elu_system(knots, kind)
+    thetas = np.random.default_rng(100 + knots).uniform(0.0, 2.0 * np.pi, (4, config.n_params))
+    objective = vqls._ExactObjective(matrix, y, config)
+    for theta, elsewhere in zip(thetas, thetas[::-1]):
+        forward = vqls._exact_forward(matrix, y, config, theta)
+        # the sweep's forward pass builds the state as a block row does, and
+        # its cost is the line-search cost
+        assert forward[2][-1].tobytes() == vqls._states(config, theta[None, :])[0].tobytes()
+        assert forward[3][0] == _reference_cost(matrix, y, config, theta)
+        assert forward[3][0] == vqls._ExactObjective(matrix, y, config)(theta)
+        grad = vqls._adjoint_sweep(matrix, config, forward)
+        want = _reference_gradient(
             lambda t: _reference_cost(matrix, y, config, t), theta, vqls.FD_STEP
         )
-        assert grad.tobytes() == want_grad.tobytes()
-    assert objective.gradients == 4
-    assert objective.cost_rows == 4 * (1 + 2 * config.n_params)
+        assert np.max(np.abs(grad - want)) <= 1e-6
+        # after a point at the same parameters the sweep reuses its forward
+        # pass, and after a point elsewhere it runs its own
+        objective(elsewhere)
+        assert objective.gradient(theta).tobytes() == grad.tobytes()
+        assert objective(theta) == forward[3][0]
+        assert objective.gradient(theta).tobytes() == grad.tobytes()
+    # each point and each sweep is one cost row
+    assert objective.gradients == 2 * len(thetas)
+    assert objective.cost_rows == 4 * len(thetas)
 
 
 @pytest.mark.parametrize("kind", ["tree", "layered"])
@@ -268,9 +296,19 @@ def test_shots_costs_of_a_block_equal_single_point_costs(kind):
     thetas = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (5, config.n_params))
     lcu = vqls._lcu_arrays(system.entries)
     got = vqls._shots_costs(lcu, y / np.linalg.norm(y), config, thetas, 1000, 11)
-    want = [vqls.cost_global(system, y, config, t, mode="shots", shots=1000, seed=11)
-            for t in thetas]
-    assert got.tolist() == want
+
+    def single(t):
+        return vqls.cost_global(system, y, config, t, mode="shots", shots=1000, seed=11)
+
+    assert got.tolist() == [single(t) for t in thetas]
+
+    # a central-difference gradient is one block of its 2P probe rows
+    objective = vqls._ShotsObjective(
+        lambda ts: vqls._shots_costs(lcu, y / np.linalg.norm(y), config, ts, 1000, 11))
+    grad = objective.gradient(thetas[0])
+    assert grad.tobytes() == _reference_gradient(single, thetas[0], vqls.FD_STEP).tobytes()
+    assert objective(thetas[0]) == single(thetas[0])
+    assert (objective.gradients, objective.cost_rows) == (1, 2 * config.n_params + 1)
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])
@@ -284,8 +322,17 @@ def test_a_vanishing_row_raises_the_singular_error(row):
     message = "vanished; the system matrix is singular"
     with pytest.raises(ValueError, match=message):
         _reference_cost(matrix, y, config, thetas[row])
+    states = vqls._states(config, thetas)
+    for i, v in enumerate(states):
+        if i != row:
+            vqls._exact_cost(matrix, y, v)
     with pytest.raises(ValueError, match=message):
-        vqls._exact_costs(matrix, y, config, thetas)
+        vqls._exact_cost(matrix, y, states[row])
+    objective = vqls._ExactObjective(matrix, y, config)
+    with pytest.raises(ValueError, match=message):
+        objective(thetas[row])
+    with pytest.raises(ValueError, match=message):
+        objective.gradient(thetas[row])
     with pytest.raises(ValueError, match=message):
         vqls.cost_global(matrix, y, config, thetas[row])
 

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from . import pipeline, svg
+from . import pipeline, svg, vqls
 from .bspline import design_matrix_d1
 from .decomp import decompose_block, pauli_decompose, reconstruct
 from .functions import TARGETS, sample_grid
@@ -33,8 +33,7 @@ EXIT_IO = 3
 
 BENCH_ORDER = ("elu", "relu", "sigmoid", "sin")
 
-_MAX_ITER_HELP = ("iteration cap of each descent or BFGS stage of every restart; "
-                 "it does not cap cost evaluations")
+_MAX_ITER_HELP = "BFGS iteration cap of every restart; it does not cap cost evaluations"
 
 
 class UsageError(Exception):
@@ -110,7 +109,7 @@ _DEFAULTS = {
     "shots": 10_000,
     "restarts": 5,
     "ansatz": "tree",
-    "max_iter": 2000,
+    "max_iter": vqls.MAX_ITER,
     "svg": False,
     "classical_only": False,
     "seed": 42,

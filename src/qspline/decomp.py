@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .sim import RY_3PI, X, Y, Z
 
@@ -170,8 +169,11 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"matrix size must be a power of two >= 2, got {dim}")
 
+    sylvester = np.ones((1, 1))
+    for _ in range(n):
+        sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
     idx = np.arange(dim)
-    walsh = hadamard(dim, dtype=float) @ m[idx[:, None], idx[:, None] ^ idx] / dim
+    walsh = sylvester @ m[idx[:, None], idx[:, None] ^ idx] / dim
 
     terms = []
     for chars in itertools.product("IXYZ", repeat=n):

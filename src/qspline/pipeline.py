@@ -41,7 +41,7 @@ class FitConfig:
     restarts: int = 5
     seed: int = 42
     ansatz: str = "tree"  # "tree" | "layered"
-    max_iter: int = 2000
+    max_iter: int = vqls.MAX_ITER
 
     def __post_init__(self):
         if self.function not in TARGETS:
@@ -129,12 +129,10 @@ def fit(config: FitConfig) -> FitReport:
             "n_params": ansatz_cfg.n_params,
         },
         optimizer={
-            "name": "gd",
-            "learning_rate": vqls.LEARNING_RATE,
+            "name": "bfgs",
             # exact mode takes its gradient from the adjoint sweep
             "fd_step": vqls.FD_STEP if config.mode == "shots" else None,
             "max_iter": solve_cfg.max_iter,
-            "tol": vqls.TOL,
             "restarts": solve_cfg.restarts,
         },
         seed=config.seed,

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import sim
 from .bspline import as_matrix
@@ -56,10 +55,9 @@ ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... i
 # 2n - 3 fits up to n = 5 only.  Six qubits (K = 64) is the CLI's ceiling.
 _FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
 
-# step sizes and stopping thresholds of the descent loop, in both modes
-LEARNING_RATE = 0.1
+# settings of the optimizer loop, in both modes
+MAX_ITER = 10_000  # default cap on the BFGS iterations of one restart
 FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
-TOL = 1e-9  # stop once an accepted step improves the cost by less
 STOP_COST = 1e-8  # good enough to skip the remaining restarts
 SUCCESS_COST = 1e-3  # below this the solve counts as converged
 
@@ -392,7 +390,7 @@ class SolveConfig:
 
     mode: str = "exact"  # "exact" | "shots"
     shots: int = 10_000
-    max_iter: int = 2000
+    max_iter: int = MAX_ITER
     restarts: int = 5
     seed: int = 42
 
@@ -411,17 +409,16 @@ class VqlsSolution:
 
     ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
     "stop_reason"}`` record per restart run, in order.  ``cost_rows`` counts
-    the parameter points whose cost was evaluated: in exact mode each line
-    search or BFGS point is one row and so is each adjoint sweep, which needs
+    the parameter points whose cost was evaluated: in exact mode each
+    line-search point is one row and so is each adjoint sweep, which needs
     the cost at its point (it reuses the forward pass of a point taken at the
     same parameters); in shots mode a central-difference gradient adds its 2P
-    probe rows.  ``gradients`` counts the sweeps, or the
-    central-difference gradients.  ``stop_reason`` is why the last stage that
-    lowered the restart's cost stopped: ``"stop cost"`` (it reached
-    ``STOP_COST``), ``"tol"`` (a descent step gained less than ``TOL``),
-    ``"no descent"`` (no step size lowered the cost), ``"max_iter"``, or the
-    message of the BFGS polish.  ``evaluations`` sums the two counts over
-    every restart, and ``cost_trace`` is the best restart's.
+    probe rows.  ``gradients`` counts the sweeps, or the central-difference
+    gradients.  ``stop_reason`` is why the restart's BFGS loop stopped:
+    ``"stop cost"`` (it ended at or below ``STOP_COST``), ``"no descent"``
+    (a zero gradient, or no step size lowered the cost) or ``"max_iter"``.
+    ``evaluations`` sums the two counts over every restart, and
+    ``cost_trace`` is the best restart's.
     ``condition_number`` is cond(S), from the singularity check.
     """
 
@@ -454,7 +451,7 @@ class _ExactObjective:
     """One restart's exact cost: a point is one forward pass, a gradient one
     adjoint sweep, and both count as one cost row.
 
-    The optimizers ask for the gradient where they last took the cost, so
+    The BFGS loop asks for the gradient where it last took the cost, so
     the sweep reuses the forward pass of the last point when its parameters
     are the same, bit for bit.
     """
@@ -504,94 +501,51 @@ class _ShotsObjective:
         return _fd_gradient(self.costs, np.asarray(theta, dtype=float), FD_STEP)
 
 
-def _descend(f, theta0: np.ndarray, max_iter: int):
-    """First-order descent with backtracking halving.
+def _bfgs(f, theta0: np.ndarray, max_iter: int):
+    """Quasi-Newton descent with an inverse-Hessian estimate H.
 
-    The trial step starts from a Barzilai-Borwein estimate when history is
-    available (plain learning rate otherwise) and is halved until the cost
-    actually decreases, so the recorded trace is non-increasing.  Returns
-    the end point, its cost, the trace and why the descent stopped.
+    The first step is along -g; after the first accepted step H becomes
+    (s.y / y.y) I, and every accepted step with curvature s.y > 0 applies
+    the standard inverse update.  H falls back to the identity whenever -Hg
+    is not a descent direction.  Each step size is found by Armijo
+    backtracking from 1 (c1 = 1e-4, strict decrease, at most 60 halvings),
+    so the recorded trace strictly decreases.  Every point takes ``f(x)``
+    and then ``f.gradient(x)``.  Returns the end point, its cost, the trace
+    and why the loop stopped: ``"no descent"`` (a zero or non-finite
+    gradient, or no step size lowered the cost) or ``"max_iter"``.
     """
     theta = theta0.astype(float).copy()
     cost = f(theta)
+    grad = f.gradient(theta)
     trace = [cost]
-    prev_theta = None
-    prev_grad = None
-    reason = "max_iter"
+    h = None  # None stands for the identity, before any curvature is seen
     for _ in range(max_iter):
-        grad = f.gradient(theta)
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0 or not np.isfinite(gnorm2):
-            reason = "no descent"
-            break
-        alpha = LEARNING_RATE
-        if prev_grad is not None:
-            s = theta - prev_theta
-            dg = grad - prev_grad
-            curv = float(s @ dg)
-            if curv > 1e-300:
-                bb = float(s @ s) / curv
-                if np.isfinite(bb) and bb > 0.0:
-                    alpha = min(max(bb, 1e-6), 1e3)
-        accepted = None
-        for _ in range(60):
-            candidate = theta - alpha * grad
-            c_new = f(candidate)
-            if c_new < cost:
-                accepted = (candidate, c_new)
+            return theta, cost, trace, "no descent"
+        step = -grad if h is None else -(h @ grad)
+        slope = float(grad @ step)
+        if not slope < 0.0:
+            h, step, slope = None, -grad, -gnorm2
+        for halvings in range(61):
+            alpha = 0.5**halvings
+            candidate = theta + alpha * step
+            new_cost = f(candidate)
+            if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
                 break
-            alpha *= 0.5
-        if accepted is None:
-            reason = "no descent"
-            break
-        prev_theta, prev_grad = theta, grad
-        theta, new_cost = accepted
-        improvement = cost - new_cost
-        cost = new_cost
+        else:
+            return theta, cost, trace, "no descent"
+        new_grad = f.gradient(candidate)
+        s, y = candidate - theta, new_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * np.eye(theta.size)
+            hy = h @ y
+            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+        theta, cost, grad = candidate, new_cost, new_grad
         trace.append(cost)
-        if cost <= 1e-15:
-            reason = "stop cost"
-            break
-        if improvement < TOL:
-            reason = "tol"
-            break
-    return theta, cost, trace, reason
-
-
-def _minimize_gd(f, theta0: np.ndarray, max_iter: int):
-    """Gradient descent, then a quasi-Newton polish with the same gradients.
-
-    The spline systems are ill-conditioned (squared condition number near
-    1e8 for 16 knots), so step-halving descent stalls in a narrow curved
-    valley where per-step improvement drops below ``TOL`` long before the
-    basin floor.  A BFGS pass fed by the identical gradients models that
-    curvature and keeps descending; a short descent re-run between passes
-    restarts the step-size history.  The returned trace stays
-    non-increasing because only improvements are appended, and the stop
-    reason is that of the last stage that lowered the cost.
-    """
-    theta, cost, trace, reason = _descend(f, theta0, max_iter)
-    for _ in range(2):
-        if cost <= STOP_COST:
-            break
-        result = optimize.minimize(
-            f,
-            theta,
-            jac=f.gradient,
-            method="BFGS",
-            options={"maxiter": max_iter, "gtol": 1e-14},
-        )
-        polished = float(result.fun)
-        if np.isfinite(polished) and polished < cost:
-            theta, cost, reason = np.asarray(result.x, dtype=float), polished, result.message
-            trace.append(cost)
-        theta2, cost2, _, reason2 = _descend(f, theta, max(max_iter // 4, 1))
-        if cost2 < cost:
-            theta, cost, reason = theta2, cost2, reason2
-            trace.append(cost)
-    if cost <= STOP_COST:
-        reason = "stop cost"
-    return theta, cost, trace, reason
+    return theta, cost, trace, "max_iter"
 
 
 def solve(
@@ -640,7 +594,9 @@ def solve(
             noise_seed = int(rng.integers(0, 2**31 - 1))
             f = _ShotsObjective(
                 lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
-        theta, cost, trace, reason = _minimize_gd(f, theta0, cfg.max_iter)
+        theta, cost, trace, reason = _bfgs(f, theta0, cfg.max_iter)
+        if cost <= STOP_COST:
+            reason = "stop cost"
         records.append({"final_cost": float(cost), "cost_rows": f.cost_rows,
                         "gradients": f.gradients, "stop_reason": reason})
         if best is None or cost < best[1]:

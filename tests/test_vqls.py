@@ -343,6 +343,69 @@ def test_shots_mode_requires_a_count():
         vqls.cost_global(np.eye(4), np.ones(4), config, np.zeros(16), mode="shots")
 
 
+class _Quadratic:
+    """0.5 x.(D x) in the basis of the orthogonal ``rotation``, with its exact
+    gradient; it logs every call, in order."""
+
+    def __init__(self, diag, rotation):
+        self.diag, self.rotation = np.asarray(diag, dtype=float), rotation
+        self.log = []  # ("cost", x) and ("gradient", x, g)
+
+    def __call__(self, x):
+        self.log.append(("cost", np.array(x)))
+        z = self.rotation.T @ x
+        return 0.5 * float(z @ (self.diag * z))
+
+    def gradient(self, x):
+        g = self.rotation @ (self.diag * (self.rotation.T @ x))
+        self.log.append(("gradient", np.array(x), g))
+        return g
+
+    def steepest_steps(self) -> list:
+        """Iterations (0 is the first) whose first trial point is x - g."""
+        trials = [(before, after[1]) for before, after in zip(self.log, self.log[1:])
+                  if before[0] == "gradient" and after[0] == "cost"]
+        return [k for k, ((_, x, g), trial) in enumerate(trials)
+                if np.array_equal(trial, x - g)]
+
+
+def test_bfgs_drives_an_ill_conditioned_quadratic_below_1e_20():
+    rng = np.random.default_rng(15)
+    rotation = np.linalg.qr(rng.standard_normal((15, 15)))[0]
+    f = _Quadratic(np.logspace(0.0, -8.0, 15), rotation)  # condition number 1e8
+    theta, cost, trace, reason = vqls._bfgs(f, rng.uniform(-1.0, 1.0, 15), 200)
+    # the first step is along -g; after it the inverse-Hessian estimate steers
+    assert f.steepest_steps() == [0]
+    assert cost < 1e-20
+    assert trace[-1] == cost == f(theta)
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    assert reason == "max_iter" and len(trace) == 201
+
+
+def test_bfgs_resets_h_when_rounding_leaves_no_descent_direction():
+    # on a 2-D quadratic the loop reaches about 1e-200 within 20 iterations;
+    # there the inverse update loses positive definiteness to rounding, and
+    # -Hg stops being a descent direction.  The loop must fall back to -g
+    # and go on, not stop at the first step that fails to descend.
+    f = _Quadratic([1.0, 1e-8], np.eye(2))
+    _, cost, trace, reason = vqls._bfgs(f, np.random.default_rng(2).uniform(-1.0, 1.0, 2), 40)
+    steepest = f.steepest_steps()
+    assert steepest[0] == 0 and len(steepest) > 1  # resets after the first step
+    assert reason == "max_iter" and len(trace) == 41
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    assert cost < 1e-200
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_relu_at_sixteen_knots_fits_to_rounding_error(seed):
+    # one BFGS loop per restart leaves the cost-2.4e-3 basin that stalled
+    # the old descent stage for every start at seed 7
+    rep = pipeline.fit(pipeline.FitConfig(function="relu", knots=16, seed=seed))
+    assert rep.converged
+    assert rep.nrmse < 1e-10
+    assert rep.restarts[-1]["stop_reason"] == "stop cost"
+
+
 def test_solve_identity_system():
     y = np.array([1.0, 0.0, 0.0, 0.0])
     solution = vqls.solve(np.eye(4), y, vqls.SolveConfig(restarts=2),

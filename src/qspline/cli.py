@@ -57,35 +57,28 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None,
                        help="flat key=value file; explicit flags win")
 
+    def add_fit_settings(p):
+        p.add_argument("--knots", type=int, default=None, help="K, power of two in 2..64")
+        p.add_argument("--mode", choices=("exact", "shots"), default=None)
+        p.add_argument("--shots", type=int, default=None)
+        p.add_argument("--restarts", type=int, default=None)
+        p.add_argument("--ansatz", choices=("tree", "layered"), default=None)
+        p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
+                       help=_MAX_ITER_HELP)
+        p.add_argument("--svg", action="store_const", const=True, default=None,
+                       help="also write an SVG plot")
+        p.add_argument("--classical-only", action="store_const", const=True,
+                       default=None, dest="classical_only",
+                       help="skip the quantum solve; exact classical fit only")
+        add_common(p)
+
     fit = sub.add_parser("fit", help="fit one target function")
     fit.add_argument("--function", choices=sorted(TARGETS), default=None)
-    fit.add_argument("--knots", type=int, default=None, help="K, power of two in 2..64")
     fit.add_argument("--degree", type=int, default=None, help="spline degree (only 1)")
-    fit.add_argument("--mode", choices=("exact", "shots"), default=None)
-    fit.add_argument("--shots", type=int, default=None)
-    fit.add_argument("--restarts", type=int, default=None)
-    fit.add_argument("--ansatz", choices=("tree", "layered"), default=None)
-    fit.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                     help=_MAX_ITER_HELP)
-    fit.add_argument("--svg", action="store_const", const=True, default=None,
-                     help="also write an SVG plot")
-    fit.add_argument("--classical-only", action="store_const", const=True,
-                     default=None, dest="classical_only",
-                     help="skip the quantum solve; exact classical fit only")
-    add_common(fit)
+    add_fit_settings(fit)
 
     bench = sub.add_parser("bench", help="run all four functions and print the table")
-    bench.add_argument("--knots", type=int, default=None)
-    bench.add_argument("--mode", choices=("exact", "shots"), default=None)
-    bench.add_argument("--shots", type=int, default=None)
-    bench.add_argument("--restarts", type=int, default=None)
-    bench.add_argument("--ansatz", choices=("tree", "layered"), default=None)
-    bench.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                       help=_MAX_ITER_HELP)
-    bench.add_argument("--svg", action="store_const", const=True, default=None)
-    bench.add_argument("--classical-only", action="store_const", const=True,
-                       default=None, dest="classical_only")
-    add_common(bench)
+    add_fit_settings(bench)
 
     dec = sub.add_parser("decompose", help="print an LCU term list")
     dec.add_argument("--block", nargs=2, type=float, metavar=("A", "B"), default=None,
@@ -131,7 +124,7 @@ def _read_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -296,12 +289,8 @@ def cmd_bench(settings: dict) -> int:
         return math.nan if rep is None else rep.nrmse
 
     quantum_row = [cell(reports[n]) for n in BENCH_ORDER]
-    classical_row = [
-        math.nan if reports[n] is None
-        else (reports[n].nrmse if reports[n].mode == "classical"
-              else reports[n].classical_nrmse)
-        for n in BENCH_ORDER
-    ]
+    classical_row = [math.nan if reports[n] is None else reports[n].classical_nrmse
+                     for n in BENCH_ORDER]
     baseline_row = [pipeline.QSPLINES_BASELINE[n] for n in BENCH_ORDER]
 
     header = _table_row("Model", "Knots", [n.capitalize() for n in BENCH_ORDER])

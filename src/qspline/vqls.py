@@ -10,14 +10,16 @@ Exact mode evaluates the cost straight from matrix algebra, as
 ``r = psi - (Y . psi) Y``: the same number without the cancellation of
 ``1 - ...`` near a solution.  Its gradient is one adjoint sweep
 (Jones & Gacon, 2020): dC/dv = S^T (2/d)(r - C psi) pulled back through the
-trial circuit in reverse, at about the price of one more state build.
+trial circuit in reverse, over the forward pass that built the state.
 Shots mode assembles the cost from the overlaps that Hadamard tests over
 pairs of terms of an LCU decomposition of S estimate: the term states
 A_l V|0> give every pair in one Gram product, and one
 :func:`sim.sample_overlap` call adds the shot noise of every test of the
 evaluation from one seeded generator.  The noise is frozen per restart so a
 run is reproducible and the optimizer sees a fixed landscape; its gradient is
-a central difference, one block of its 2P probe rows.  V(theta) is a
+a central difference, taken one coordinate at a time.  Each restart runs
+one BFGS loop over a point function of its mode, which returns the cost at
+theta and a thunk for the gradient there.  V(theta) is a
 rotation tree or a brick wall of CZ and Ry layers at a depth fixed by the
 qubit count; :func:`ansatz_ops` lists its gates, which the tests run against
 the shots cost.
@@ -141,64 +143,49 @@ def _cz_mask(n_qubits: int, parity: int) -> np.ndarray:
     return signs
 
 
-def _rotate_inplace(vecs: np.ndarray, qubit: int, c: np.ndarray, s: np.ndarray) -> None:
-    """Ry on ``qubit`` of every row of ``vecs``, with the cosine ``c[b]`` and
-    sine ``s[b]`` of row b's half angle."""
-    c, s = c[:, None, None], s[:, None, None]
-    view = vecs.reshape(len(vecs), -1, 2, 1 << qubit)
-    lo = view[:, :, 0, :].copy()
-    hi = view[:, :, 1, :]
-    view[:, :, 0, :] = c * lo - s * hi
-    view[:, :, 1, :] = s * lo + c * hi
+def _rotate(vec: np.ndarray, qubit: int, c: float, s: float) -> None:
+    """Ry on ``qubit`` of ``vec`` in place, by the half angle of cosine ``c``
+    and sine ``s``; a stack of states, one after the other, rotates alike."""
+    view = vec.reshape(-1, 2, 1 << qubit)
+    lo = view[:, 0, :].copy()
+    hi = view[:, 1, :]
+    view[:, 0, :] = c * lo - s * hi
+    view[:, 1, :] = s * lo + c * hi
 
 
-def _half_angles(thetas: np.ndarray) -> tuple:
-    """Cosines and sines of the half angles of a parameter block."""
-    half = thetas / 2.0
-    return np.cos(half), np.sin(half)
+def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
+    """Trial state at ``theta``, with what the adjoint sweep reads.
 
-
-def _tree_levels(cos: np.ndarray, sin: np.ndarray, n_qubits: int) -> list:
-    """Amplitudes of every level of the rotation tree, root first.
-
-    Level l holds the 2^l prefix amplitudes of each row: walking down, the
-    children of a node split its amplitude by the cosine and sine of its
-    angle, so the last level is the trial state.
-    """
-    levels = [np.ones((len(cos), 1))]
-    pos = 0
-    for level in range(n_qubits):
-        width = 1 << level
-        children = np.empty((len(cos), 2 * width))
-        np.multiply(levels[-1], cos[:, pos : pos + width], out=children[:, 0::2])
-        np.multiply(levels[-1], sin[:, pos : pos + width], out=children[:, 1::2])
-        levels.append(children)
-        pos += width
-    return levels
-
-
-def _states(config: AnsatzConfig, thetas: np.ndarray) -> np.ndarray:
-    """Trial states of a ``(B, n_params)`` block of parameters, one row each.
-
-    Every row goes through the same elementwise arithmetic as a lone row,
-    so a state does not depend on the batch it was built in.
+    Returns ``(cos, sin, amps)``: the cosines and sines of the half angles,
+    and either every level of the rotation tree, root first, or the brick
+    wall's state alone, so ``amps[-1]`` is the trial state.  Tree level l
+    holds the 2^l prefix amplitudes: walking down, the children of a node
+    split its amplitude by the cosine and sine of its angle.
     """
     n = config.n_qubits
-    rows = len(thetas)
-    cos, sin = _half_angles(thetas)
+    half = theta / 2.0
+    cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        return _tree_levels(cos, sin, n)[-1]
-    vecs = np.zeros((rows, 1 << n))
-    vecs[:, 0] = 1.0
+        amps = [np.ones(1)]
+        for level in range(n):
+            width = 1 << level
+            span = slice(width - 1, 2 * width - 1)  # this level's angles
+            children = np.empty(2 * width)
+            np.multiply(amps[-1], cos[span], out=children[0::2])
+            np.multiply(amps[-1], sin[span], out=children[1::2])
+            amps.append(children)
+        return cos, sin, amps
+    vec = np.zeros(1 << n)
+    vec[0] = 1.0
     for q in range(n):
-        _rotate_inplace(vecs, q, cos[:, q], sin[:, q])
+        _rotate(vec, q, cos[q], sin[q])
     pos = n
     for layer in range(config.layers):
-        vecs *= _cz_mask(n, layer % 2)
+        vec *= _cz_mask(n, layer % 2)
         for q in range(n):
-            _rotate_inplace(vecs, q, cos[:, pos + q], sin[:, pos + q])
+            _rotate(vec, q, cos[pos + q], sin[pos + q])
         pos += n
-    return vecs
+    return cos, sin, [vec]
 
 
 def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
@@ -206,7 +193,7 @@ def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndar
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != config.n_params:
         raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
-    return _states(config, theta[None, :])[0]
+    return _forward(config, theta)[2][-1]
 
 
 def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumState:
@@ -217,13 +204,9 @@ def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumSta
 # cost
 # ----------------------------------------------------------------------------
 
-def _y_vector(y_state) -> np.ndarray:
-    if isinstance(y_state, sim.QuantumState):
-        amps = y_state.amplitudes
-        if np.max(np.abs(amps.imag)) > 1e-12:
-            raise ValueError("target state must be real")
-        return amps.real
-    y = np.asarray(y_state, dtype=float).reshape(-1)
+def _y_vector(y) -> np.ndarray:
+    """The raw target vector ``y``, normalized."""
+    y = np.asarray(y, dtype=float).reshape(-1)
     norm = np.linalg.norm(y)
     if norm < 1e-300:
         raise ValueError("target vector is zero")
@@ -247,27 +230,11 @@ def _exact_cost(matrix: np.ndarray, y: np.ndarray, v: np.ndarray) -> tuple:
     return cost, psi, residual, denom
 
 
-def _exact_forward(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig,
-                   theta: np.ndarray) -> tuple:
-    """Forward pass of one exact point: everything its cost and its adjoint
-    sweep need.
-
-    Returns ``(cos, sin, amps, terms)``: the half-angle cosines and sines of
-    ``theta``; the amplitudes the sweep reads, which are every level of the
-    tree (root first, the trial state last) or the layered trial state
-    alone; and the ``(C, psi, r, d)`` of :func:`_exact_cost` at the trial
-    state, which is the row ``_states`` builds for ``theta``.
-    """
-    cos, sin = _half_angles(theta[None, :])
-    if config.kind == "tree":
-        amps = [level[0] for level in _tree_levels(cos, sin, config.n_qubits)]
-    else:
-        amps = [_states(config, theta[None, :])[0]]
-    return cos[0], sin[0], amps, _exact_cost(matrix, y, amps[-1])
-
-
-def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple) -> np.ndarray:
-    """Gradient of the exact cost in one backward sweep over a forward pass.
+def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple,
+                   terms: tuple) -> np.ndarray:
+    """Gradient of the exact cost in one backward sweep over the forward pass
+    ``forward`` of :func:`_forward`, whose state has the cost terms ``terms``
+    of :func:`_exact_cost`.
 
     The sweep starts from g = dC/dv = S^T (2/d)(r - C psi) and pulls it back
     through the circuit in reverse.  In the tree, a node of angle t and
@@ -279,7 +246,8 @@ def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple) -> 
     the state psi and cotangent lam right after that gate; both are then
     rotated back by -t, and a CZ layer's sign mask undoes itself.
     """
-    cos, sin, amps, (cost, psi, residual, denom) = forward
+    cos, sin, amps = forward
+    cost, psi, residual, denom = terms
     n = config.n_qubits
     g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
     grad = np.empty(config.n_params)
@@ -303,10 +271,7 @@ def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple) -> 
             state, lam = view[: len(view) // 2], view[len(view) // 2 :]
             grad[pos + q] = (np.sum(lam[:, 1] * state[:, 0])
                              - np.sum(lam[:, 0] * state[:, 1])) / 2.0
-            c, s = cos[pos + q], sin[pos + q]
-            lo = view[:, 0].copy()
-            view[:, 0] = c * lo + s * view[:, 1]
-            view[:, 1] = c * view[:, 1] - s * lo
+            _rotate(pair, q, cos[pos + q], -sin[pos + q])  # Ry(-t)
         if layer:
             pair *= _cz_mask(n, (layer - 1) % 2)
     return grad
@@ -353,23 +318,18 @@ def _shots_cost(
     return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
 
 
-def _shots_costs(lcu: tuple, y: np.ndarray, config: AnsatzConfig,
-                 thetas: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Sampled cost of every row of a block, each drawn from the same ``seed``."""
-    return np.array([_shots_cost(lcu, y, v, shots, seed) for v in _states(config, thetas)])
-
-
 def cost_global(
     system,
-    y_state,
+    y,
     config: AnsatzConfig,
     theta: Sequence[float],
     mode: str = "exact",
     shots: int | None = None,
     seed: int | None = None,
 ) -> float:
-    """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with Y."""
-    y = _y_vector(y_state)
+    """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with
+    Y, the raw target vector ``y`` normalized."""
+    y = _y_vector(y)
     if mode == "exact":
         return _exact_cost(as_matrix(system), y, ansatz_state_vector(config, theta))[0]
     if mode == "shots":
@@ -408,13 +368,11 @@ class VqlsSolution:
     """Best restart of a variational solve.
 
     ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
-    "stop_reason"}`` record per restart run, in order.  ``cost_rows`` counts
-    the parameter points whose cost was evaluated: in exact mode each
-    line-search point is one row and so is each adjoint sweep, which needs
-    the cost at its point (it reuses the forward pass of a point taken at the
-    same parameters); in shots mode a central-difference gradient adds its 2P
-    probe rows.  ``gradients`` counts the sweeps, or the central-difference
-    gradients.  ``stop_reason`` is why the restart's BFGS loop stopped:
+    "stop_reason"}`` record per restart run, in order.  ``cost_rows`` is
+    the number of points the BFGS loop took plus, for each gradient, one row
+    in exact mode (an adjoint sweep over its point's forward pass) or the 2P
+    probe rows of a central difference in shots mode.  ``gradients`` counts
+    the gradients.  ``stop_reason`` is why the restart's BFGS loop stopped:
     ``"stop cost"`` (it ended at or below ``STOP_COST``), ``"no descent"``
     (a zero gradient, or no step size lowered the cost) or ``"max_iter"``.
     ``evaluations`` sums the two counts over every restart, and
@@ -435,73 +393,45 @@ class VqlsSolution:
     restarts: tuple
 
 
-def _fd_gradient(costs: Callable, theta: np.ndarray, step: float) -> np.ndarray:
-    """Central differences from one batch: rows 2i and 2i+1 are theta +/- step e_i."""
-    p = theta.size
-    probes = np.empty((2 * p, p))
-    probes[:] = theta
-    idx = np.arange(p)
-    probes[2 * idx, idx] = theta + step
-    probes[2 * idx + 1, idx] = theta - step
-    values = costs(probes)
-    return (values[0::2] - values[1::2]) / (2.0 * step)
+def _exact_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
+    """Point function of the exact cost: a point is one forward pass, and its
+    gradient thunk one adjoint sweep over that pass."""
+
+    def point(theta: np.ndarray) -> tuple:
+        forward = _forward(config, theta)
+        terms = _exact_cost(matrix, y, forward[2][-1])
+        return terms[0], lambda: _adjoint_sweep(matrix, config, forward, terms)
+
+    return point
 
 
-class _ExactObjective:
-    """One restart's exact cost: a point is one forward pass, a gradient one
-    adjoint sweep, and both count as one cost row.
+def _shots_point(lcu: tuple, y: np.ndarray, config: AnsatzConfig, shots: int,
+                 seed: int) -> Callable:
+    """Point function of the sampled cost, every evaluation drawn from the
+    same ``seed``: its gradient thunk takes central differences of step
+    ``FD_STEP``, one coordinate and two costs at a time."""
 
-    The BFGS loop asks for the gradient where it last took the cost, so
-    the sweep reuses the forward pass of the last point when its parameters
-    are the same, bit for bit.
-    """
+    def cost(theta: np.ndarray) -> float:
+        return _shots_cost(lcu, y, _forward(config, theta)[2][-1], shots, seed)
 
-    def __init__(self, matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig):
-        self._matrix, self._y, self._config = matrix, y, config
-        self._last = (None, None)  # parameter bytes and forward pass of the last point
-        self.cost_rows = 0
-        self.gradients = 0
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        grad = np.empty_like(theta)
+        probe = theta.copy()
+        for i in range(theta.size):
+            probe[i] = theta[i] + FD_STEP
+            hi = cost(probe)
+            probe[i] = theta[i] - FD_STEP
+            grad[i] = (hi - cost(probe)) / (2.0 * FD_STEP)
+            probe[i] = theta[i]
+        return grad
 
-    def _forward(self, theta) -> tuple:
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if key != self._last[0]:
-            self._last = (key, _exact_forward(self._matrix, self._y, self._config, theta))
-        return self._last[1]
+    def point(theta: np.ndarray) -> tuple:
+        return cost(theta), lambda: gradient(theta)
 
-    def __call__(self, theta) -> float:
-        self.cost_rows += 1
-        return self._forward(theta)[3][0]
-
-    def gradient(self, theta) -> np.ndarray:
-        self.cost_rows += 1
-        self.gradients += 1
-        return _adjoint_sweep(self._matrix, self._config, self._forward(theta))
+    return point
 
 
-class _ShotsObjective:
-    """One restart's sampled cost over ``(B, n_params)`` blocks: a point is a
-    batch of one, and a central-difference gradient one batch of its probe
-    rows; :meth:`costs` counts the rows."""
-
-    def __init__(self, costs: Callable[[np.ndarray], np.ndarray]):
-        self._costs = costs
-        self.cost_rows = 0
-        self.gradients = 0
-
-    def costs(self, thetas: np.ndarray) -> np.ndarray:
-        self.cost_rows += len(thetas)
-        return self._costs(thetas)
-
-    def __call__(self, theta) -> float:
-        return float(self.costs(np.asarray(theta, dtype=float)[None, :])[0])
-
-    def gradient(self, theta) -> np.ndarray:
-        self.gradients += 1
-        return _fd_gradient(self.costs, np.asarray(theta, dtype=float), FD_STEP)
-
-
-def _bfgs(f, theta0: np.ndarray, max_iter: int):
+def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
     """Quasi-Newton descent with an inverse-Hessian estimate H.
 
     The first step is along -g; after the first accepted step H becomes
@@ -509,20 +439,23 @@ def _bfgs(f, theta0: np.ndarray, max_iter: int):
     the standard inverse update.  H falls back to the identity whenever -Hg
     is not a descent direction.  Each step size is found by Armijo
     backtracking from 1 (c1 = 1e-4, strict decrease, at most 60 halvings),
-    so the recorded trace strictly decreases.  Every point takes ``f(x)``
-    and then ``f.gradient(x)``.  Returns the end point, its cost, the trace
-    and why the loop stopped: ``"no descent"`` (a zero or non-finite
-    gradient, or no step size lowered the cost) or ``"max_iter"``.
+    so the recorded trace strictly decreases.  ``point(x)`` returns the cost
+    at x and a thunk for the gradient there, which runs for the start and
+    for every accepted step.  Returns the end point, its cost, the trace,
+    why the loop stopped (``"no descent"``: a zero or non-finite gradient,
+    or no step size lowered the cost; or ``"max_iter"``) and the numbers of
+    points and of gradients taken.
     """
     theta = theta0.astype(float).copy()
-    cost = f(theta)
-    grad = f.gradient(theta)
+    cost, gradient = point(theta)
+    grad = gradient()
+    points = gradients = 1
     trace = [cost]
     h = None  # None stands for the identity, before any curvature is seen
     for _ in range(max_iter):
         gnorm2 = float(grad @ grad)
         if gnorm2 == 0.0 or not np.isfinite(gnorm2):
-            return theta, cost, trace, "no descent"
+            return theta, cost, trace, "no descent", points, gradients
         step = -grad if h is None else -(h @ grad)
         slope = float(grad @ step)
         if not slope < 0.0:
@@ -530,12 +463,14 @@ def _bfgs(f, theta0: np.ndarray, max_iter: int):
         for halvings in range(61):
             alpha = 0.5**halvings
             candidate = theta + alpha * step
-            new_cost = f(candidate)
+            new_cost, gradient = point(candidate)
+            points += 1
             if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
                 break
         else:
-            return theta, cost, trace, "no descent"
-        new_grad = f.gradient(candidate)
+            return theta, cost, trace, "no descent", points, gradients
+        new_grad = gradient()
+        gradients += 1
         s, y = candidate - theta, new_grad - grad
         sy = float(s @ y)
         if sy > 0.0:
@@ -545,7 +480,7 @@ def _bfgs(f, theta0: np.ndarray, max_iter: int):
             h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
         theta, cost, grad = candidate, new_cost, new_grad
         trace.append(cost)
-    return theta, cost, trace, "max_iter"
+    return theta, cost, trace, "max_iter", points, gradients
 
 
 def solve(
@@ -556,7 +491,7 @@ def solve(
 ) -> VqlsSolution:
     """Minimize the global cost over restarts and return the best solution.
 
-    ``y`` may be a raw vector (it is normalized here) or a QuantumState.
+    ``y`` is the raw target vector; it is normalized here.
     Restart i draws its starting point from the substream (seed, i); results
     merge by lowest final cost with the earlier restart winning ties, and
     the loop stops early once a restart lands below ``STOP_COST``.
@@ -581,24 +516,24 @@ def solve(
     if y_vec.size != dim:
         raise ValueError(f"target has length {y_vec.size}, system is {dim}x{dim}")
 
-    lcu = _lcu_arrays(matrix) if cfg.mode == "shots" else None
+    if cfg.mode == "exact":
+        point, gradient_rows = _exact_point(matrix, y_vec, ans), 1
+    else:
+        lcu, gradient_rows = _lcu_arrays(matrix), 2 * ans.n_params
 
     best = None
     records = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
-        if cfg.mode == "exact":
-            f = _ExactObjective(matrix, y_vec, ans)
-        else:
-            noise_seed = int(rng.integers(0, 2**31 - 1))
-            f = _ShotsObjective(
-                lambda ts: _shots_costs(lcu, y_vec, ans, ts, cfg.shots, noise_seed))
-        theta, cost, trace, reason = _bfgs(f, theta0, cfg.max_iter)
+        if cfg.mode == "shots":
+            point = _shots_point(lcu, y_vec, ans, cfg.shots, int(rng.integers(0, 2**31 - 1)))
+        theta, cost, trace, reason, points, gradients = _bfgs(point, theta0, cfg.max_iter)
         if cost <= STOP_COST:
             reason = "stop cost"
-        records.append({"final_cost": float(cost), "cost_rows": f.cost_rows,
-                        "gradients": f.gradients, "stop_reason": reason})
+        records.append({"final_cost": float(cost),
+                         "cost_rows": points + gradient_rows * gradients,
+                         "gradients": gradients, "stop_reason": reason})
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
         if best[1] <= STOP_COST:

@@ -157,10 +157,16 @@ def test_bench_at_seed_7_converges_for_every_function(tmp_path, capsys):
     assert "warning:" not in capsys.readouterr().err
 
 
+def _fresh_interpreter_env() -> dict:
+    """Environment of a fresh interpreter that imports this checkout's qspline."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_fits_run_without_scipy(tmp_path):
     # numpy is the only runtime dependency; a fresh interpreter that runs
     # both modes must never load scipy
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "import os, sys\n"
         "import qspline, qspline.cli\n"
@@ -170,10 +176,8 @@ def test_fits_run_without_scipy(tmp_path):
         "    assert rc in (0, 2), rc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=_fresh_interpreter_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
     for mode in ("exact", "shots"):
@@ -372,6 +376,24 @@ def test_malformed_config_is_a_usage_error(tmp_path):
     cfg.write_text("knottts=4\n")
     assert cli.main(["fit", "--function", "sin", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 1
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path):
+    # a fresh interpreter, so an escaping UnicodeDecodeError would show as
+    # a traceback on stderr
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xff\xfe\n")
+    run = subprocess.run([sys.executable, "-m", "qspline", "fit", "--function", "sin",
+                          "--config", str(cfg), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=_fresh_interpreter_env(),
+                         timeout=120)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    err = run.stderr.splitlines()
+    assert err[0].startswith(f"error: cannot read config file {cfg}:")
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert err[1].startswith("usage: qspline")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_classical_only_table_and_summary(tmp_path, capsys):

@@ -168,9 +168,9 @@ def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind):
 
 
 def _reference_state(config, theta):
-    """Single-point trial state as built before batching: ``np.stack`` down
-    the tree, one scalar-angle Ry at a time for the layered circuit, whose
-    brick-wall CZ signs come from the index bits here, not from ``vqls``."""
+    """Trial state built independently of ``vqls``: ``np.stack`` down the
+    tree, one scalar-angle Ry at a time for the layered circuit, whose
+    brick-wall CZ signs come from the index bits here."""
     n = config.n_qubits
     if config.kind == "tree":
         amps = np.array([1.0])
@@ -238,13 +238,28 @@ def _elu_system(knots, kind):
     return matrix, y / np.linalg.norm(y), config
 
 
+def _counting(monkeypatch, *names):
+    """Wrap each named ``vqls`` function so that its calls are counted."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(vqls, name, wrap(name, getattr(vqls, name)))
+    return calls
+
+
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_batched_objective_equals_the_per_point_formula(knots, kind):
+def test_batched_objective_equals_the_per_point_formula(knots, kind, monkeypatch):
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 
-    states = vqls._states(config, thetas)
+    states = np.array([vqls._forward(config, t)[2][-1] for t in thetas])
     want_states = np.array([_reference_state(config, t) for t in thetas])
     assert states.tobytes() == want_states.tobytes()
 
@@ -252,63 +267,67 @@ def test_batched_objective_equals_the_per_point_formula(knots, kind):
     want = np.array([_reference_cost(matrix, y, config, t) for t in thetas])
     assert costs.tobytes() == want.tobytes()
 
-    objective = vqls._ExactObjective(matrix, y, config)
+    point = vqls._exact_point(matrix, y, config)
+    calls = _counting(monkeypatch, "_forward", "_adjoint_sweep")
     for theta, cost in zip(thetas, want):
-        assert objective(theta) == cost
-    assert objective.cost_rows == len(thetas)
-    assert objective.gradients == 0
+        assert point(theta)[0] == cost
+    # one forward pass per point, and no sweep until a gradient is asked for
+    assert calls == {"_forward": len(thetas), "_adjoint_sweep": 0}
 
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_adjoint_gradient_matches_central_differences(knots, kind):
+def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(100 + knots).uniform(0.0, 2.0 * np.pi, (4, config.n_params))
-    objective = vqls._ExactObjective(matrix, y, config)
+    point = vqls._exact_point(matrix, y, config)
     for theta, elsewhere in zip(thetas, thetas[::-1]):
-        forward = vqls._exact_forward(matrix, y, config, theta)
-        # the sweep's forward pass builds the state as a block row does, and
-        # its cost is the line-search cost
-        assert forward[2][-1].tobytes() == vqls._states(config, theta[None, :])[0].tobytes()
-        assert forward[3][0] == _reference_cost(matrix, y, config, theta)
-        assert forward[3][0] == vqls._ExactObjective(matrix, y, config)(theta)
-        grad = vqls._adjoint_sweep(matrix, config, forward)
+        forward = vqls._forward(config, theta)
+        # the sweep's forward pass builds the reference state, and its cost
+        # is the point's cost
+        assert forward[2][-1].tobytes() == _reference_state(config, theta).tobytes()
+        terms = vqls._exact_cost(matrix, y, forward[2][-1])
+        assert terms[0] == _reference_cost(matrix, y, config, theta)
+        grad = vqls._adjoint_sweep(matrix, config, forward, terms)
         want = _reference_gradient(
             lambda t: _reference_cost(matrix, y, config, t), theta, vqls.FD_STEP
         )
         assert np.max(np.abs(grad - want)) <= 1e-6
-        # after a point at the same parameters the sweep reuses its forward
-        # pass, and after a point elsewhere it runs its own
-        objective(elsewhere)
-        assert objective.gradient(theta).tobytes() == grad.tobytes()
-        assert objective(theta) == forward[3][0]
-        assert objective.gradient(theta).tobytes() == grad.tobytes()
-    # each point and each sweep is one cost row
-    assert objective.gradients == 2 * len(thetas)
-    assert objective.cost_rows == 4 * len(thetas)
+
+        calls = _counting(monkeypatch, "_forward", "_adjoint_sweep")
+        cost, gradient = point(theta)
+        assert cost == terms[0]
+        # a thunk sweeps over its own point's forward pass, whatever point
+        # came after it, and the sweep leaves that pass as it was
+        point(elsewhere)[1]()
+        assert gradient().tobytes() == grad.tobytes()
+        assert gradient().tobytes() == grad.tobytes()
+        # each point is one forward pass and each thunk call one sweep
+        assert calls == {"_forward": 2, "_adjoint_sweep": 3}
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_shots_costs_of_a_block_equal_single_point_costs(kind):
+def test_shots_point_equals_single_point_costs(kind, monkeypatch):
     system = _spline_system(4)
     y = _normalized_target("sin", 4)
     config = vqls.AnsatzConfig(n_qubits=2, kind=kind)
     thetas = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (5, config.n_params))
-    lcu = vqls._lcu_arrays(system.entries)
-    got = vqls._shots_costs(lcu, y / np.linalg.norm(y), config, thetas, 1000, 11)
+    point = vqls._shots_point(vqls._lcu_arrays(system.entries), y / np.linalg.norm(y),
+                              config, 1000, 11)
 
     def single(t):
         return vqls.cost_global(system, y, config, t, mode="shots", shots=1000, seed=11)
 
-    assert got.tolist() == [single(t) for t in thetas]
+    assert [point(t)[0] for t in thetas] == [single(t) for t in thetas]
 
-    # a central-difference gradient is one block of its 2P probe rows
-    objective = vqls._ShotsObjective(
-        lambda ts: vqls._shots_costs(lcu, y / np.linalg.norm(y), config, ts, 1000, 11))
-    grad = objective.gradient(thetas[0])
+    # a point is one sampled cost, and its central-difference gradient 2P more
+    calls = _counting(monkeypatch, "_shots_cost")
+    cost, gradient = point(thetas[0])
+    grad = gradient()
+    assert calls == {"_shots_cost": 2 * config.n_params + 1}
     assert grad.tobytes() == _reference_gradient(single, thetas[0], vqls.FD_STEP).tobytes()
-    assert objective(thetas[0]) == single(thetas[0])
-    assert (objective.gradients, objective.cost_rows) == (1, 2 * config.n_params + 1)
+    assert cost == single(thetas[0])
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])
@@ -322,19 +341,33 @@ def test_a_vanishing_row_raises_the_singular_error(row):
     message = "vanished; the system matrix is singular"
     with pytest.raises(ValueError, match=message):
         _reference_cost(matrix, y, config, thetas[row])
-    states = vqls._states(config, thetas)
-    for i, v in enumerate(states):
+    point = vqls._exact_point(matrix, y, config)
+    for i, theta in enumerate(thetas):
         if i != row:
-            vqls._exact_cost(matrix, y, v)
+            point(theta)[1]()
     with pytest.raises(ValueError, match=message):
-        vqls._exact_cost(matrix, y, states[row])
-    objective = vqls._ExactObjective(matrix, y, config)
+        vqls._exact_cost(matrix, y, vqls._forward(config, thetas[row])[2][-1])
+    # the cost raises before a gradient thunk exists, so the loop stops at once
     with pytest.raises(ValueError, match=message):
-        objective(thetas[row])
+        point(thetas[row])
     with pytest.raises(ValueError, match=message):
-        objective.gradient(thetas[row])
+        vqls._bfgs(point, thetas[row], 5)
     with pytest.raises(ValueError, match=message):
         vqls.cost_global(matrix, y, config, thetas[row])
+
+
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_solve_builds_each_point_once(kind, monkeypatch):
+    # in exact mode a point is one forward pass and a gradient one sweep over
+    # it, so cost_rows - gradients counts the points; the one more forward
+    # pass is the best restart's beta_state
+    matrix, y, config = _elu_system(8, kind)
+    calls = _counting(monkeypatch, "_forward", "_adjoint_sweep")
+    solution = vqls.solve(matrix, y, vqls.SolveConfig(restarts=2, max_iter=30), config)
+    evaluations = solution.evaluations
+    assert calls == {"_forward": evaluations["cost_rows"] - evaluations["gradients"] + 1,
+                     "_adjoint_sweep": evaluations["gradients"]}
+    assert evaluations["gradients"] > 0
 
 
 def test_shots_mode_requires_a_count():
@@ -344,8 +377,9 @@ def test_shots_mode_requires_a_count():
 
 
 class _Quadratic:
-    """0.5 x.(D x) in the basis of the orthogonal ``rotation``, with its exact
-    gradient; it logs every call, in order."""
+    """Point function of 0.5 x.(D x) in the basis of the orthogonal
+    ``rotation``, with a thunk for its exact gradient; it logs every cost
+    and every gradient, in order."""
 
     def __init__(self, diag, rotation):
         self.diag, self.rotation = np.asarray(diag, dtype=float), rotation
@@ -354,12 +388,17 @@ class _Quadratic:
     def __call__(self, x):
         self.log.append(("cost", np.array(x)))
         z = self.rotation.T @ x
-        return 0.5 * float(z @ (self.diag * z))
+        return 0.5 * float(z @ (self.diag * z)), lambda: self.gradient(x)
 
     def gradient(self, x):
         g = self.rotation @ (self.diag * (self.rotation.T @ x))
         self.log.append(("gradient", np.array(x), g))
         return g
+
+    def counts(self) -> tuple:
+        """Costs and gradients taken so far."""
+        kinds = [entry[0] for entry in self.log]
+        return kinds.count("cost"), kinds.count("gradient")
 
     def steepest_steps(self) -> list:
         """Iterations (0 is the first) whose first trial point is x - g."""
@@ -373,11 +412,15 @@ def test_bfgs_drives_an_ill_conditioned_quadratic_below_1e_20():
     rng = np.random.default_rng(15)
     rotation = np.linalg.qr(rng.standard_normal((15, 15)))[0]
     f = _Quadratic(np.logspace(0.0, -8.0, 15), rotation)  # condition number 1e8
-    theta, cost, trace, reason = vqls._bfgs(f, rng.uniform(-1.0, 1.0, 15), 200)
+    theta, cost, trace, reason, points, gradients = vqls._bfgs(
+        f, rng.uniform(-1.0, 1.0, 15), 200)
+    # the loop counts what it took: a gradient at the start and at every step
+    assert (points, gradients) == f.counts()
+    assert gradients == len(trace)
     # the first step is along -g; after it the inverse-Hessian estimate steers
     assert f.steepest_steps() == [0]
     assert cost < 1e-20
-    assert trace[-1] == cost == f(theta)
+    assert trace[-1] == cost == f(theta)[0]
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     assert reason == "max_iter" and len(trace) == 201
 
@@ -388,10 +431,12 @@ def test_bfgs_resets_h_when_rounding_leaves_no_descent_direction():
     # -Hg stops being a descent direction.  The loop must fall back to -g
     # and go on, not stop at the first step that fails to descend.
     f = _Quadratic([1.0, 1e-8], np.eye(2))
-    _, cost, trace, reason = vqls._bfgs(f, np.random.default_rng(2).uniform(-1.0, 1.0, 2), 40)
+    _, cost, trace, reason, points, gradients = vqls._bfgs(
+        f, np.random.default_rng(2).uniform(-1.0, 1.0, 2), 40)
+    assert (points, gradients) == f.counts()
     steepest = f.steepest_steps()
     assert steepest[0] == 0 and len(steepest) > 1  # resets after the first step
-    assert reason == "max_iter" and len(trace) == 41
+    assert reason == "max_iter" and len(trace) == 41 == gradients
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     assert cost < 1e-200
 
@@ -444,8 +489,8 @@ def test_solve_is_deterministic():
 @pytest.mark.parametrize("n_qubits", range(1, 7))
 def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeypatch):
     def ranks():
-        """Rank of d v / d theta at three seeded points, from one ``_states``
-        call.  Each angle enters one Ry(t) = exp(-i t Y / 2), so half the
+        """Rank of d v / d theta at three seeded points, from the trial states
+        of their shifted probes.  Each angle enters one Ry(t) = exp(-i t Y / 2), so half the
         difference of the states at t +/- pi/2 is the exact derivative, and
         the missing directions show as singular values at rounding level."""
         config = vqls.AnsatzConfig(n_qubits=n_qubits, kind="layered")
@@ -453,7 +498,8 @@ def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeyp
         thetas = np.random.default_rng(n_qubits).uniform(0.0, 2.0 * np.pi, (3, p))
         shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])  # rows +e_i, -e_i
         probes = (thetas[:, None, :] + shifts[None]).reshape(-1, p)
-        states = vqls._states(config, probes).reshape(3, p, 2, -1)
+        states = np.array([vqls.ansatz_state_vector(config, t) for t in probes])
+        states = states.reshape(3, p, 2, -1)
         sv = np.linalg.svd((states[:, :, 0] - states[:, :, 1]) / 2.0, compute_uv=False)
         return (sv > 1e-10 * sv[:, :1]).sum(axis=1).tolist()
 

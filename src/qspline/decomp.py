@@ -14,11 +14,16 @@ is folded into the unitary itself (i*Y is the real rotation Ry(3*pi)); that
 keeps every term a real coefficient times a real unitary.  The shots cost
 relies on that: its term states ``A_l V|0>`` are real vectors, so every
 overlap is real and one real-part Hadamard test per pair estimates it.
+
+Every term is a signed permutation, ``X^x Z^z |j> = (-1)**popcount(j & z)
+|j ^ x>``, and its global factor ``i**(phase + #Y)`` is +-1, so
+:func:`signed_permutations` gives each term as an index map and a sign
+vector: :meth:`LcuTerm.matrix` and :func:`reconstruct` scatter those, and
+the shots cost gathers with them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +37,12 @@ __all__ = [
     "decompose_block",
     "pauli_decompose",
     "reconstruct",
+    "signed_permutations",
 ]
 
 COEFF_CUTOFF = 1e-12
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": X.matrix,
-    "Y": Y.matrix,
-    "Z": Z.matrix,
-}
 _PAULI_GATES = {"X": X, "Y": Y, "Z": Z}
-# (x bit, z bit) of each factor in Y = i X Z
-_XZ_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ class LcuTerm:
     """One summand: ``coefficient * (i**phase) * tensor(paulis)``.
 
     ``paulis[q]`` is the factor acting on qubit q (qubit 0 = least
-    significant amplitude bit).  ``phase`` is 0 or 1; a phase of 1 only
-    occurs for strings with an odd number of Y factors, where i times the
-    string is again a real matrix.
+    significant amplitude bit).  ``phase`` is the parity of the number of Y
+    factors: i times a string with an odd number of them is again a real
+    matrix, so every term is real.
     """
 
     coefficient: float
@@ -63,23 +61,37 @@ class LcuTerm:
     label: str
 
     def __post_init__(self):
-        if self.phase not in (0, 1):
-            raise ValueError(f"phase must be 0 or 1, got {self.phase}")
         if any(p not in "IXYZ" for p in self.paulis):
             raise ValueError(f"bad Pauli string {self.paulis!r}")
-        if self.phase == 1 and "Y" not in self.paulis:
-            raise ValueError("phase i requires at least one Y factor to fold into")
+        if self.phase != self.paulis.count("Y") % 2:
+            raise ValueError(
+                f"phase must be the parity of the Y factors of {self.paulis!r}, got {self.phase}"
+            )
 
     @property
     def n_qubits(self) -> int:
         return len(self.paulis)
 
+    @property
+    def xz(self) -> tuple[int, int]:
+        """Bit masks (x, z) of the string ``i**#Y X^x Z^z`` (Y = i X Z)."""
+        x = sum(1 << q for q, p in enumerate(self.paulis) if p in "XY")
+        z = sum(1 << q for q, p in enumerate(self.paulis) if p in "YZ")
+        return x, z
+
+    @property
+    def sign(self) -> float:
+        """The global factor ``i**(phase + #Y)``, real because the exponent is
+        even: the unitary is ``sign * X^x Z^z``."""
+        return -1.0 if (self.phase + self.paulis.count("Y")) % 4 else 1.0
+
     def matrix(self) -> np.ndarray:
         """Dense unitary of the term (without the coefficient)."""
-        m = np.array([[1.0 + 0.0j]])
-        for q in range(self.n_qubits - 1, -1, -1):  # leftmost kron factor = highest qubit
-            m = np.kron(m, _PAULI_MATS[self.paulis[q]])
-        return (1j**self.phase) * m
+        cols, signs = signed_permutations((self,), self.n_qubits)
+        dim = cols.shape[1]
+        m = np.zeros((dim, dim), dtype=complex)
+        m[np.arange(dim), cols[0]] = signs[0]
+        return m
 
     def ops(self) -> tuple:
         """Gate sequence realizing the unitary; the i is folded into one Y."""
@@ -175,20 +187,20 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     idx = np.arange(dim)
     walsh = sylvester @ m[idx[:, None], idx[:, None] ^ idx] / dim
 
+    # the 4**n strings in product("IXYZ") order: digits[k, s] is the factor
+    # (I, X, Y, Z = 0..3) of string s on qubit n-1-k
+    digits = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    x = weights @ ((digits == 1) | (digits == 2))
+    z = weights @ (digits >= 2)
+    n_y = np.count_nonzero(digits == 2, axis=0)
+    coefficients = np.where(n_y // 2 % 2, -1.0, 1.0) * walsh[z, x]
     terms = []
-    for chars in itertools.product("IXYZ", repeat=n):
-        x = z = 0
-        for ch in chars:  # chars[0] acts on qubit n-1
-            bx, bz = _XZ_BITS[ch]
-            x, z = (x << 1) | bx, (z << 1) | bz
-        n_y = chars.count("Y")
-        coefficient = (-1) ** (n_y // 2) * walsh[z, x]
-        if abs(coefficient) < COEFF_CUTOFF:
-            continue
-        s = "".join(chars)
-        odd_y = n_y % 2
+    for k in np.flatnonzero(~(np.abs(coefficients) < COEFF_CUTOFF)):
+        s = "".join("IXYZ"[d] for d in digits[:, k])
+        odd_y = int(n_y[k] % 2)
         # string labels read qubit n-1 on the left, matching bitstrings
-        terms.append(LcuTerm(float(coefficient), s[::-1], odd_y, ("i*" if odd_y else "") + s))
+        terms.append(LcuTerm(float(coefficients[k]), s[::-1], odd_y, ("i*" if odd_y else "") + s))
     decomp = LcuDecomposition(terms=tuple(terms), n_qubits=n)
 
     residue = reconstruct(decomp)
@@ -199,10 +211,28 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     return decomp
 
 
+def signed_permutations(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign arrays ``(cols, signs)`` of real Pauli terms, each of
+    shape ``(len(terms), 2**n_qubits)``.
+
+    Row i of term t's unitary ``sign * X^x Z^z`` holds its one nonzero entry,
+    ``signs[t, i] = sign * (-1)**popcount(cols[t, i] & z)``, at column
+    ``cols[t, i] = i ^ x``; so the unitary maps v to ``signs[t] * v[cols[t]]``.
+    """
+    masks = np.array([t.xz for t in terms], dtype=np.int64).reshape(-1, 2)
+    cols = np.arange(1 << n_qubits) ^ masks[:, :1]
+    sign = np.array([t.sign for t in terms]).reshape(-1, 1)
+    signs = np.where(np.bitwise_count(cols & masks[:, 1:]) & 1, -sign, sign)
+    return cols, signs
+
+
 def reconstruct(decomp: LcuDecomposition) -> np.ndarray:
-    """Dense sum of coefficient * unitary over all terms."""
+    """Dense sum of coefficient * unitary over all terms, in term order; the
+    terms are real, so only the real part of the complex result accumulates."""
     dim = decomp.dimension
+    cols, entries = signed_permutations(decomp.terms, decomp.n_qubits)
+    entries *= decomp.coefficients()[:, None]
     out = np.zeros((dim, dim), dtype=complex)
-    for t in decomp.terms:
-        out += t.coefficient * t.matrix()
+    rows = np.broadcast_to(np.arange(dim), cols.shape)
+    np.add.at(out.real, (rows, cols), entries)
     return out

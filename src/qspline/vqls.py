@@ -13,7 +13,8 @@ Exact mode evaluates the cost straight from matrix algebra, as
 trial circuit in reverse, over the forward pass that built the state.
 Shots mode assembles the cost from the overlaps that Hadamard tests over
 pairs of terms of an LCU decomposition of S estimate: the term states
-A_l V|0> give every pair in one Gram product, and one
+A_l V|0>, each Pauli string a signed gather of V|0>, give every pair in
+one Gram product, and one
 :func:`sim.sample_overlap` call adds the shot noise of every test of the
 evaluation from one seeded generator.  The noise is frozen per restart so a
 run is reproducible and the optimizer sees a fixed landscape; its gradient is
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import sim
 from .bspline import as_matrix
-from .decomp import pauli_decompose
+from .decomp import pauli_decompose, signed_permutations
 
 __all__ = [
     "AnsatzConfig",
@@ -278,9 +279,11 @@ def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple,
 
 
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
-    """Coefficients and stacked real unitaries of the Pauli LCU of ``matrix``."""
+    """Coefficients, then the ``(T, 2**n)`` gather indices and signs of the
+    terms of the Pauli LCU of ``matrix``: term l maps v to
+    ``signs[l] * v[cols[l]]``."""
     lcu = pauli_decompose(matrix)
-    return lcu.coefficients(), np.array([t.matrix().real for t in lcu.terms])
+    return (lcu.coefficients(), *signed_permutations(lcu.terms, lcu.n_qubits))
 
 
 def _shots_cost(
@@ -301,8 +304,8 @@ def _shots_cost(
     fill both triangles of a unit-diagonal G, and the cost is
     1 - (c . gamma)^2 / (c^T G c).
     """
-    coeffs, unitaries = lcu
-    phi = unitaries @ v
+    coeffs, cols, signs = lcu
+    phi = signs * v[cols]
     n_terms = len(coeffs)
     pairs = np.triu_indices(n_terms, 1)
     estimates = sim.sample_overlap(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspline import decomp, sim
+from qspline import cli, decomp, pipeline, sim
 from qspline.bspline import design_matrix_d1
 from qspline.functions import sample_grid
 
@@ -21,6 +21,23 @@ _PAULI = {
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+
+def _kron_matrix(term):
+    """Dense unitary of a term as a chain of 2x2 Kronecker factors, qubit
+    n-1 leftmost, times ``i**phase``."""
+    m = np.array([[1.0 + 0.0j]])
+    for q in range(term.n_qubits - 1, -1, -1):
+        m = np.kron(m, _PAULI[term.paulis[q]])
+    return (1j**term.phase) * m
+
+
+def _kron_reconstruct(d):
+    """Sum of coefficient times :func:`_kron_matrix` over the terms, in order."""
+    out = np.zeros((d.dimension, d.dimension), dtype=complex)
+    for t in d.terms:
+        out += t.coefficient * _kron_matrix(t)
+    return out
 
 
 def _reference_decompose(matrix):
@@ -127,6 +144,71 @@ def test_phase_term_ops_reproduce_the_matrix():
 def test_phase_requires_a_y_factor():
     with pytest.raises(ValueError):
         decomp.LcuTerm(coefficient=1.0, paulis="XZ", phase=1, label="XZ")
+
+
+def test_phase_must_be_the_parity_of_the_y_factors():
+    # Y alone is imaginary; only i*Y is a real (signed permutation) term
+    with pytest.raises(ValueError):
+        decomp.LcuTerm(1.0, "Y", 0, "Y")
+    with pytest.raises(ValueError):
+        decomp.LcuTerm(1.0, "YY", 1, "i*YY")
+    assert decomp.LcuTerm(1.0, "YY", 0, "YY").sign == -1.0  # Y Y = -(X Z)(X Z)
+
+
+def _assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+def _kron_cases():
+    for knots in pipeline._ALLOWED_KNOTS:
+        matrix = design_matrix_d1(sample_grid(knots, (0.0, 1.0))).entries
+        yield pytest.param(matrix, id=f"K{knots}")
+    rng = np.random.default_rng(8)
+    for n_qubits in (1, 2, 3, 4, 5):
+        for sparse in (False, True):
+            matrix = _random_matrix(rng, n_qubits, sparse)
+            yield pytest.param(matrix, id=f"random{n_qubits}{'-sparse' if sparse else ''}")
+
+
+@pytest.mark.parametrize("matrix", _kron_cases())
+def test_signed_permutations_equal_the_kron_chain(matrix):
+    # every term's matrix has the kron chain's values (its zeros are all +0,
+    # where the chain leaves some -0), and the reconstruction is bitwise the
+    # kron sum, signed zeros included
+    d = decomp.pauli_decompose(matrix)
+    for term in d.terms:
+        assert np.array_equal(term.matrix(), _kron_matrix(term))
+    _assert_bitwise_equal(decomp.reconstruct(d), _kron_reconstruct(d))
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.5, 0.3), (1.0, 0.0), (0.25, 1.0), (1.0, 1.0)])
+def test_block_terms_equal_the_kron_chain(a, b):
+    d = decomp.decompose_block(a, b)
+    for term in d.terms:
+        assert np.array_equal(term.matrix(), _kron_matrix(term))
+    _assert_bitwise_equal(decomp.reconstruct(d), _kron_reconstruct(d))
+
+
+def test_signed_permutations_gather_each_term_state():
+    rng = np.random.default_rng(9)
+    d = decomp.pauli_decompose(_random_matrix(rng, 3, False))
+    cols, signs = decomp.signed_permutations(d.terms, d.n_qubits)
+    v = rng.standard_normal(8)
+    for term, c, s in zip(d.terms, cols, signs):
+        assert np.array_equal(s * v[c], term.matrix().real @ v)
+
+
+@pytest.mark.parametrize("knots", pipeline._ALLOWED_KNOTS)
+def test_decompose_output_equals_the_kron_reference(knots, monkeypatch, capsys):
+    argv = ["decompose", "--function", "sin", "--knots", str(knots)]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(decomp, "reconstruct", _kron_reconstruct)
+    monkeypatch.setattr(cli, "reconstruct", _kron_reconstruct)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == got
 
 
 def test_single_qubit_projector_decomposition():

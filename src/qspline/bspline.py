@@ -5,13 +5,12 @@ convention.  Supports are half-open ``[knot_i, knot_{i+1})`` except that the
 very last interval also contains its right endpoint, so the partition of
 unity extends to the final knot.
 
-Two matrix constructions are provided: the general ``entries[k, i] =
-B_i(points[k])`` collocation matrix for any degree, and the explicit
-degree-1 form whose interior row k holds ``(1 - x_k, x_k)`` on the diagonal
-and superdiagonal with unit rows at both ends.  The second is what the
-quantum solver consumes; the first exists to cross-check it.
-:func:`as_matrix` is the one way the solvers and the readout turn a system,
-given as a :class:`DesignMatrix` or as an array, into a matrix.
+The spline system is degree 1: :func:`design_matrix_d1` puts ``(1 - x_k,
+x_k)`` on the diagonal and superdiagonal of interior row k, with unit rows at
+both ends, and :func:`build_system` is the one place that builds it on the
+K-point unit grid.  :func:`as_matrix` is the one way the solvers and the
+readout turn a system, given as a :class:`DesignMatrix` or as an array, into
+a matrix.
 """
 
 from __future__ import annotations
@@ -21,13 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .functions import sample_grid
+
 __all__ = [
     "KnotVector",
     "DesignMatrix",
     "uniform_knots",
     "basis_value",
-    "design_matrix_general",
     "design_matrix_d1",
+    "build_system",
     "as_matrix",
 ]
 
@@ -107,28 +108,14 @@ def _cox_de_boor(knots: np.ndarray, i: int, d: int, x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Square collocation matrix together with how it was built."""
+    """Square, read-only collocation matrix."""
 
     entries: np.ndarray
-    points: np.ndarray
-    knots: KnotVector | None
-    form: str  # "general" | "d1"
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"design matrix must be square, got {m.shape}")
-        p = np.asarray(self.points, dtype=float).reshape(-1)
-        if self.form not in ("general", "d1"):
-            raise ValueError(f"unknown form {self.form!r}")
+        m = as_matrix(self.entries)
         m.flags.writeable = False
-        p.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "points", p)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
 
 def as_matrix(system: DesignMatrix | np.ndarray) -> np.ndarray:
@@ -139,27 +126,6 @@ def as_matrix(system: DesignMatrix | np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     return m
-
-
-def design_matrix_general(kv: KnotVector, points: Sequence[float]) -> DesignMatrix:
-    """Collocation matrix ``entries[k, i] = B_i(points[k])`` for any degree.
-
-    ``points`` must be non-decreasing and inside the knot range, and there
-    must be exactly one point per basis function so the system is square.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1)
-    if pts.size != kv.n_basis:
-        raise ValueError(
-            f"need {kv.n_basis} points for a square system, got {pts.size}"
-        )
-    if np.any(np.diff(pts) < 0):
-        raise ValueError("evaluation points must be non-decreasing")
-    if pts[0] < kv.knots[0] or pts[-1] > kv.knots[-1]:
-        raise ValueError("evaluation points fall outside the knot range")
-    entries = np.array(
-        [[_cox_de_boor(kv.knots, i, kv.degree, x) for i in range(kv.n_basis)] for x in pts]
-    )
-    return DesignMatrix(entries=entries, points=pts, knots=kv, form="general")
 
 
 def design_matrix_d1(points: Sequence[float]) -> DesignMatrix:
@@ -184,4 +150,10 @@ def design_matrix_d1(points: Sequence[float]) -> DesignMatrix:
     for k in range(1, K - 1):
         entries[k, k] = 1.0 - pts[k]
         entries[k, k + 1] = pts[k]
-    return DesignMatrix(entries=entries, points=pts, knots=uniform_knots(K, 1), form="d1")
+    return DesignMatrix(entries=entries)
+
+
+def build_system(knots: int) -> tuple[DesignMatrix, np.ndarray]:
+    """The degree-1 spline system on the ``knots``-point unit grid, and the grid."""
+    grid = sample_grid(knots, (0.0, 1.0))
+    return design_matrix_d1(grid), grid

@@ -19,9 +19,9 @@ import threading
 import numpy as np
 
 from . import pipeline, svg, vqls
-from .bspline import design_matrix_d1
+from .bspline import build_system
 from .decomp import decompose_block, pauli_decompose, reconstruct
-from .functions import TARGETS, sample_grid
+from .functions import TARGETS
 from .report import FitReport, format_number
 
 __all__ = ["main", "entry", "build_parser"]
@@ -74,7 +74,6 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="fit one target function")
     fit.add_argument("--function", choices=sorted(TARGETS), default=None)
-    fit.add_argument("--degree", type=int, default=None, help="spline degree (only 1)")
     add_fit_settings(fit)
 
     bench = sub.add_parser("bench", help="run all four functions and print the table")
@@ -97,7 +96,6 @@ def build_parser() -> _Parser:
 _DEFAULTS = {
     "function": None,
     "knots": 16,
-    "degree": 1,
     "mode": "exact",
     "shots": 10_000,
     "restarts": 5,
@@ -130,7 +128,7 @@ def _read_config(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    if key in ("knots", "degree", "shots", "restarts", "max_iter", "seed"):
+    if key in ("knots", "shots", "restarts", "max_iter", "seed"):
         try:
             return int(raw)
         except ValueError as exc:
@@ -174,7 +172,6 @@ def _fit_config(settings: dict) -> pipeline.FitConfig:
         return pipeline.FitConfig(
             function=settings["function"],
             knots=settings["knots"],
-            degree=settings["degree"],
             mode=mode,
             shots=settings["shots"],
             restarts=settings["restarts"],
@@ -219,10 +216,8 @@ def cmd_fit(settings: dict) -> int:
     return EXIT_OK
 
 
-def _table_row(model: str, knots, cells: list) -> str:
-    rendered = ["--" if c is None else (c if isinstance(c, str) else f"{c:.4f}")
-                for c in cells]
-    return f"{model:<20} {str(knots):>5}  " + "  ".join(f"{c:>10}" for c in rendered)
+def _table_row(model: str, knots, cells: list[str]) -> str:
+    return f"{model:<20} {str(knots):>5}  " + "  ".join(f"{c:>10}" for c in cells)
 
 
 def _usable_cpus() -> int:
@@ -285,23 +280,24 @@ def cmd_bench(settings: dict) -> int:
                       file=sys.stderr)
                 failed = True
 
-    def cell(rep):
-        return math.nan if rep is None else rep.nrmse
+    def column(field):
+        return [math.nan if reports[n] is None else getattr(reports[n], field)
+                for n in BENCH_ORDER]
 
-    quantum_row = [cell(reports[n]) for n in BENCH_ORDER]
-    classical_row = [math.nan if reports[n] is None else reports[n].classical_nrmse
-                     for n in BENCH_ORDER]
-    baseline_row = [pipeline.QSPLINES_BASELINE[n] for n in BENCH_ORDER]
+    # (table label, summary name, knots, table format, one value per function)
+    rows = [
+        ("QSplines (swap test)", "qsplines", pipeline.BASELINE_KNOTS, ".4f",
+         [pipeline.QSPLINES_BASELINE[n] for n in BENCH_ORDER]),
+        ("Classical oracle", "classical", settings["knots"], ".2e", column("classical_nrmse")),
+    ]
+    if not settings["classical_only"]:
+        rows.append(("This model", "vqls", settings["knots"], ".4f", column("nrmse")))
 
     header = _table_row("Model", "Knots", [n.capitalize() for n in BENCH_ORDER])
     print(header)
     print("-" * len(header))
-    print(_table_row("QSplines (swap test)", pipeline.BASELINE_KNOTS, baseline_row))
-    print(_table_row("Classical oracle", settings["knots"],
-                     [f"{v:.2e}" if v == v else "nan" for v in classical_row]))
-    if not settings["classical_only"]:
-        print(_table_row("This model", settings["knots"],
-                         [f"{v:.4f}" if v == v else "nan" for v in quantum_row]))
+    for label, _, knots, spec, values in rows:
+        print(_table_row(label, knots, ["--" if v is None else format(v, spec) for v in values]))
 
     os.makedirs(settings["out"], exist_ok=True)
     summary = os.path.join(
@@ -309,22 +305,10 @@ def cmd_bench(settings: dict) -> int:
     )
     with open(summary, "w", encoding="utf-8") as handle:
         handle.write("model,knots," + ",".join(BENCH_ORDER) + "\n")
-        handle.write(
-            f"qsplines,{pipeline.BASELINE_KNOTS},"
-            + ",".join("" if v is None else format_number(v) for v in baseline_row)
-            + "\n"
-        )
-        handle.write(
-            f"classical,{settings['knots']},"
-            + ",".join("nan" if v != v else format_number(v) for v in classical_row)
-            + "\n"
-        )
-        if not settings["classical_only"]:
-            handle.write(
-                f"vqls,{settings['knots']},"
-                + ",".join("nan" if v != v else format_number(v) for v in quantum_row)
-                + "\n"
-            )
+        for _, name, knots, _, values in rows:
+            handle.write(f"{name},{knots},"
+                         + ",".join("" if v is None else format_number(v) for v in values)
+                         + "\n")
     print(f"wrote {summary}")
     return EXIT_NOT_CONVERGED if failed else EXIT_OK
 
@@ -340,11 +324,9 @@ def cmd_decompose(settings: dict, block) -> int:
             raise UsageError(str(exc)) from exc
         target = np.array([[1.0 - a, a], [0.0, 1.0 - b]])
     elif settings["function"] is not None:
-        cfg = _fit_config(settings)
-        grid = sample_grid(cfg.knots, (0.0, 1.0))
-        matrix = design_matrix_d1(grid).entries
-        decomposition = pauli_decompose(matrix)
-        target = matrix
+        system, _ = build_system(_fit_config(settings).knots)
+        target = system.entries
+        decomposition = pauli_decompose(target)
     else:
         raise UsageError("decompose needs --block A B or --function NAME --knots K")
 

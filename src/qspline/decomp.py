@@ -57,16 +57,15 @@ class LcuTerm:
 
     coefficient: float
     paulis: str
-    phase: int
     label: str
 
     def __post_init__(self):
         if any(p not in "IXYZ" for p in self.paulis):
             raise ValueError(f"bad Pauli string {self.paulis!r}")
-        if self.phase != self.paulis.count("Y") % 2:
-            raise ValueError(
-                f"phase must be the parity of the Y factors of {self.paulis!r}, got {self.phase}"
-            )
+
+    @property
+    def phase(self) -> int:
+        return self.paulis.count("Y") % 2
 
     @property
     def n_qubits(self) -> int:
@@ -145,10 +144,10 @@ def decompose_block(a: float, b: float) -> LcuDecomposition:
     """
     c = block_coefficients(a, b)
     candidates = (
-        LcuTerm(c[0], "I", 0, "I"),
-        LcuTerm(c[1], "X", 0, "X"),
-        LcuTerm(c[2], "Z", 0, "Z"),
-        LcuTerm(c[3], "Y", 1, "Ry(3pi)"),
+        LcuTerm(c[0], "I", "I"),
+        LcuTerm(c[1], "X", "X"),
+        LcuTerm(c[2], "Z", "Z"),
+        LcuTerm(c[3], "Y", "Ry(3pi)"),
     )
     terms = tuple(t for t in candidates if abs(t.coefficient) >= COEFF_CUTOFF)
     return LcuDecomposition(terms=terms, n_qubits=1)
@@ -198,9 +197,8 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     terms = []
     for k in np.flatnonzero(~(np.abs(coefficients) < COEFF_CUTOFF)):
         s = "".join("IXYZ"[d] for d in digits[:, k])
-        odd_y = int(n_y[k] % 2)
         # string labels read qubit n-1 on the left, matching bitstrings
-        terms.append(LcuTerm(float(coefficients[k]), s[::-1], odd_y, ("i*" if odd_y else "") + s))
+        terms.append(LcuTerm(float(coefficients[k]), s[::-1], ("i*" if n_y[k] % 2 else "") + s))
     decomp = LcuDecomposition(terms=tuple(terms), n_qubits=n)
 
     residue = reconstruct(decomp)

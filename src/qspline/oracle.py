@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import DesignMatrix, as_matrix, design_matrix_d1
+from .bspline import DesignMatrix, as_matrix, build_system
 from .functions import TARGETS, nrmse, sample_grid, target_values
 from .report import FitReport
 
@@ -93,30 +93,26 @@ def solve_exact(matrix: DesignMatrix | np.ndarray, y: np.ndarray) -> ExactSoluti
     return ExactSolution(beta=beta, residual=residual, method=method)
 
 
-def fit_classical(function: str, knots: int, degree: int = 1) -> FitReport:
+def fit_classical(function: str, knots: int) -> FitReport:
     """Fit a target function by solving the spline system exactly.
 
     The degree-1 system interpolates, so the recovered values match the
     normalized targets to machine precision; the report's NRMSE is the
     floor the quantum pipeline is compared against.
     """
-    if degree != 1:
-        raise ValueError("classical fit supports degree 1 only")
     if function not in TARGETS:
         raise ValueError(f"unknown function {function!r}; options: {sorted(TARGETS)}")
     started = time.perf_counter()
     target = TARGETS[function]
     xs = sample_grid(knots, target.domain)
     y01, _ = target_values(target, xs)
-    grid01 = sample_grid(knots, (0.0, 1.0))
-    system = design_matrix_d1(grid01)
+    system, _ = build_system(knots)
     solution = solve_exact(system, y01)
     estimates = system.entries @ solution.beta
     score = nrmse(estimates, y01)
     return FitReport(
         function=function,
         knots=knots,
-        degree=degree,
         mode="classical",
         shots=None,
         ansatz=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, readout, vqls
-from .bspline import design_matrix_d1
+from .bspline import build_system
 from .functions import TARGETS, nrmse, sample_grid, target_values
 from .report import FitReport
 
@@ -35,7 +35,6 @@ class FitConfig:
 
     function: str = "sigmoid"
     knots: int = 16
-    degree: int = 1
     mode: str = "exact"  # "exact" | "shots" | "classical"
     shots: int = 10_000
     restarts: int = 5
@@ -50,8 +49,6 @@ class FitConfig:
             )
         if self.knots not in _ALLOWED_KNOTS:
             raise ValueError(f"knots must be one of {_ALLOWED_KNOTS}, got {self.knots}")
-        if self.degree != 1:
-            raise ValueError("only degree-1 fits are supported")
         if self.mode not in ("exact", "shots", "classical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 1 <= self.shots <= _MAX_SHOTS:
@@ -66,16 +63,10 @@ class FitConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-def build_system(knots: int):
-    """Design matrix plus the unit-interval sample grid it was built on."""
-    grid = sample_grid(knots, (0.0, 1.0))
-    return design_matrix_d1(grid), grid
-
-
 def fit(config: FitConfig) -> FitReport:
     """Run one full fit and package the result."""
     if config.mode == "classical":
-        return oracle.fit_classical(config.function, config.knots, config.degree)
+        return oracle.fit_classical(config.function, config.knots)
 
     target = TARGETS[config.function]
     xs = sample_grid(config.knots, target.domain)
@@ -108,7 +99,7 @@ def fit(config: FitConfig) -> FitReport:
     read_out = time.perf_counter()
 
     y_estimate = estimate.values * float(np.linalg.norm(y01))
-    classical = oracle.fit_classical(config.function, config.knots, config.degree)
+    classical = oracle.fit_classical(config.function, config.knots)
     timings = {
         "solve_s": solved - started,
         "readout_s": read_out - solved,
@@ -118,7 +109,6 @@ def fit(config: FitConfig) -> FitReport:
     return FitReport(
         function=config.function,
         knots=config.knots,
-        degree=config.degree,
         mode=config.mode,
         shots=config.shots if config.mode == "shots" else None,
         ansatz={

@@ -28,7 +28,6 @@ class FitReport:
 
     function: str
     knots: int
-    degree: int
     mode: str  # "exact" | "shots" | "classical"
     shots: int | None
     ansatz: dict | None
@@ -45,6 +44,7 @@ class FitReport:
     converged: bool
     restarts_used: int
     mean_bias: float
+    degree: int = 1  # every spline here is degree 1; the sidecar records it
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
     # quantum fits only: {"cost_rows", "gradients"} over all restarts, cond(S),

@@ -23,7 +23,7 @@ makes the same draw from its ancilla probability as the first element of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -192,7 +192,6 @@ class Preparation:
 
     state: QuantumState
     ops: tuple
-    angles: np.ndarray = field(repr=False)
 
 
 def _gray(i: int) -> int:
@@ -294,10 +293,9 @@ def amplitude_encode(vector: Sequence[float]) -> Preparation:
     if norm < 1e-300:
         raise ValueError("cannot encode the zero vector")
     n = int(v.size).bit_length() - 1
-    angles = tree_angles(v / norm)
-    ops = multiplexed_tree_ops(angles, n)
+    ops = multiplexed_tree_ops(tree_angles(v / norm), n)
     state = apply_ops(zero_state(n), ops)
-    return Preparation(state=state, ops=ops, angles=angles)
+    return Preparation(state=state, ops=ops)
 
 
 # ----------------------------------------------------------------------------

@@ -389,8 +389,6 @@ class VqlsSolution:
     cost_trace: tuple
     converged: bool
     restarts_used: int
-    seed: int
-    ansatz: AnsatzConfig
     evaluations: dict
     condition_number: float
     restarts: tuple
@@ -550,8 +548,6 @@ def solve(
         cost_trace=tuple(float(c) for c in trace),
         converged=bool(cost <= SUCCESS_COST),
         restarts_used=len(records),
-        seed=cfg.seed,
-        ansatz=ans,
         evaluations={key: sum(r[key] for r in records) for key in ("cost_rows", "gradients")},
         condition_number=condition_number,
         restarts=tuple(records),

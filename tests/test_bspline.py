@@ -73,7 +73,6 @@ def test_design_matrix_frozen_for_four_uniform_points():
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    assert dm.form == "d1"
     assert np.max(np.abs(dm.entries - expected)) < 1e-14
 
 
@@ -90,17 +89,6 @@ def test_design_matrix_rejects_bad_points():
         bspline.design_matrix_d1(np.array([0.0, 0.5, 0.25, 1.0]))  # not sorted
     with pytest.raises(ValueError):
         bspline.design_matrix_d1(np.array([0.0, 1.5, 0.7, 1.0]))  # out of range
-
-
-def test_general_design_matrix_matches_basis_evaluations():
-    kv = bspline.uniform_knots(4, 1)
-    points = np.array([0.0, 0.2, 0.9, 1.0])
-    dm = bspline.design_matrix_general(kv, points)
-    for r, x in enumerate(points):
-        for c in range(4):
-            assert dm.entries[r, c] == pytest.approx(
-                bspline.basis_value(kv, c, x), abs=1e-14
-            )
 
 
 def test_interior_rows_carry_the_point_coordinates():

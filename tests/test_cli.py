@@ -309,6 +309,7 @@ def test_bad_knot_count_is_a_usage_error(tmp_path):
         ["--seed", "-1"],
         ["--ansatz", "layered", "--layers", "2"],  # the depth follows from K
         ["--mode", "shots", "--shots", str(2**64)],  # beyond the sampler's C long
+        ["--degree", "1"],  # every spline is degree 1
     ],
 )
 def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
@@ -322,8 +323,9 @@ def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
 
 
 @pytest.mark.parametrize("config, env", [("ansatz=brick", None), ("layers=2", None),
-                                         ("seed=-1", None), ("", "-1")],
-                         ids=["ansatz-word", "layers-key", "seed-config", "seed-env"])
+                                         ("degree=1", None), ("seed=-1", None), ("", "-1")],
+                         ids=["ansatz-word", "layers-key", "degree-key", "seed-config",
+                              "seed-env"])
 def test_bad_settings_from_a_file_or_the_environment_are_usage_errors(
         tmp_path, capsys, monkeypatch, config, env):
     if env is None:
@@ -409,6 +411,21 @@ def test_bench_classical_only_table_and_summary(tmp_path, capsys):
     assert all(float(v) < 1e-10 for v in classical[2:])
 
 
+@pytest.mark.parametrize("knots", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason="cond(S) = 2.5e18: floors 5.4e-2, 3.4e-2, 3.5e-3, 3.3e-1"))
+    if k == 64 else k
+    for k in pipeline._ALLOWED_KNOTS
+])
+def test_bench_classical_floor_holds_at_every_allowed_knot_count(tmp_path, capsys, knots):
+    rc = cli.main(["bench", "--classical-only", "--knots", str(knots), "--out", str(tmp_path)])
+    assert rc == 0
+    summary = (tmp_path / f"bench_K{knots}_seed42.csv").read_text().splitlines()
+    classical = summary[2].split(",")
+    assert classical[:2] == ["classical", str(knots)]
+    assert all(float(v) < 1e-10 for v in classical[2:])
+
+
 def test_decompose_block_prints_terms_and_error(capsys):
     rc = cli.main(["decompose", "--block", "0.5", "0.3"])
     assert rc == 0
@@ -436,7 +453,7 @@ def test_unknown_command_is_a_usage_error():
     assert cli.main(["transmogrify"]) == 1
 
 
-_INT_KEYS = ("knots", "degree", "shots", "restarts", "max_iter", "seed")
+_INT_KEYS = ("knots", "shots", "restarts", "max_iter", "seed")
 _CHOICE_KEYS = {"function": sorted(TARGETS), "mode": ["exact", "shots"],
                 "ansatz": ["tree", "layered"]}
 _BOOL_KEYS = ("svg", "classical_only")

@@ -78,6 +78,4 @@ def test_classical_fit_tiny_grid_is_exact():
 
 def test_classical_fit_validates_arguments():
     with pytest.raises(ValueError):
-        oracle.fit_classical("sigmoid", 16, degree=2)
-    with pytest.raises(ValueError):
         oracle.fit_classical("tanh", 16)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from qspline import oracle, readout, sim
-from qspline.bspline import design_matrix_d1
+from qspline.bspline import build_system
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
 
 
 def _system_and_unit_target(name, knots):
-    system = design_matrix_d1(sample_grid(knots, (0.0, 1.0)))
+    system, _ = build_system(knots)
     target = TARGETS[name]
     yvals, _ = minmax_normalize(target(sample_grid(knots, target.domain)))
     return system, yvals / np.linalg.norm(yvals)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qspline import oracle, pipeline, sim, vqls
-from qspline.bspline import design_matrix_d1
+from qspline.bspline import build_system
 from qspline.decomp import pauli_decompose
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
 
 
 def _spline_system(knots):
-    return design_matrix_d1(sample_grid(knots, (0.0, 1.0)))
+    return build_system(knots)[0]
 
 
 def _normalized_target(name, knots):

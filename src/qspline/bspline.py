@@ -82,15 +82,11 @@ def _degree0(knots: np.ndarray, i: int, x: float) -> float:
     return 0.0
 
 
-def basis_value(kv: KnotVector, i: int, x: float, degree: int | None = None) -> float:
+def basis_value(kv: KnotVector, i: int, x: float) -> float:
     """Evaluate basis function ``i`` (0-based) at ``x`` via the recursion."""
-    d = kv.degree if degree is None else degree
-    if d < 0 or d > kv.degree:
-        raise ValueError(f"degree must lie in [0, {kv.degree}], got {d}")
-    n_funcs = kv.knots.size - d - 1
-    if not 0 <= i < n_funcs:
-        raise IndexError(f"basis index {i} out of range [0, {n_funcs})")
-    return _cox_de_boor(kv.knots, i, d, float(x))
+    if not 0 <= i < kv.n_basis:
+        raise IndexError(f"basis index {i} out of range [0, {kv.n_basis})")
+    return _cox_de_boor(kv.knots, i, kv.degree, float(x))
 
 
 def _cox_de_boor(knots: np.ndarray, i: int, d: int, x: float) -> float:

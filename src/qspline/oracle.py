@@ -1,9 +1,11 @@
-"""Classical reference solvers for the spline systems.
+"""Classical reference solver and fit for the spline systems.
 
 This module is the trusted side of every quantum-vs-classical comparison,
 so it stays deliberately self-contained: plain back-substitution for the
-upper-bidiagonal systems the pipeline produces, and partial-pivot Gaussian
-elimination for anything else.  Nothing here touches the simulator.
+upper-bidiagonal systems ``bspline.build_system`` produces, and nothing
+else.  ``fit_classical`` is the one place a fit samples, normalizes and
+solves its target; the quantum pipeline starts from its report.  Nothing
+here touches the simulator.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ PIVOT_TOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """Raised when elimination meets a pivot below tolerance."""
+    """Raised when back-substitution meets a pivot below tolerance."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,6 @@ class ExactSolution:
 
     beta: np.ndarray
     residual: float
-    method: str  # "back-substitution" | "elimination"
 
 
 def _is_upper_bidiagonal(m: np.ndarray) -> bool:
@@ -57,40 +58,21 @@ def _back_substitution(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _eliminate(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a = m.astype(float).copy()
-    b = y.astype(float).copy()
-    k = a.shape[0]
-    for col in range(k):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot below {PIVOT_TOL} in column {col}")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    beta = np.zeros(k)
-    for row in range(k - 1, -1, -1):
-        beta[row] = (b[row] - a[row, row + 1 :] @ beta[row + 1 :]) / a[row, row]
-    return beta
-
-
 def solve_exact(matrix: DesignMatrix | np.ndarray, y: np.ndarray) -> ExactSolution:
-    """Solve ``S beta = y`` classically, picking the solver by matrix shape."""
+    """Solve the upper-bidiagonal system ``S beta = y`` by back-substitution.
+
+    Raises ``ValueError`` for any other matrix shape, and
+    ``SingularMatrixError`` for a pivot below ``PIVOT_TOL``.
+    """
     m = as_matrix(matrix)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != m.shape[0]:
         raise ValueError(f"rhs has length {y.size}, matrix is {m.shape[0]}x{m.shape[0]}")
-    if _is_upper_bidiagonal(m):
-        beta = _back_substitution(m, y)
-        method = "back-substitution"
-    else:
-        beta = _eliminate(m, y)
-        method = "elimination"
+    if not _is_upper_bidiagonal(m):
+        raise ValueError("solve_exact takes an upper-bidiagonal matrix only")
+    beta = _back_substitution(m, y)
     residual = float(np.linalg.norm(m @ beta - y))
-    return ExactSolution(beta=beta, residual=residual, method=method)
+    return ExactSolution(beta=beta, residual=residual)
 
 
 def fit_classical(function: str, knots: int) -> FitReport:

@@ -1,21 +1,22 @@
 """End-to-end fit: sample a target, solve the spline system, read out.
 
-This is the glue the CLI calls.  The classical path interpolates exactly and
-serves as the floor every quantum run is compared against; the quantum path
-runs the variational solve and the inner-product readout, then reports both
-error numbers side by side.
+This is the glue the CLI calls.  Every fit starts from the classical fit,
+which samples and normalizes the target once and interpolates it exactly:
+it is the floor every quantum run is compared against.  The quantum path
+then runs the variational solve and the inner-product readout on the same
+targets, and reports both error numbers side by side.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import oracle, readout, vqls
 from .bspline import build_system
-from .functions import TARGETS, nrmse, sample_grid, target_values
+from .functions import TARGETS, nrmse
 from .report import FitReport
 
 __all__ = ["FitConfig", "QSPLINES_BASELINE", "BASELINE_KNOTS", "build_system", "fit"]
@@ -65,12 +66,13 @@ class FitConfig:
 
 def fit(config: FitConfig) -> FitReport:
     """Run one full fit and package the result."""
+    started = time.perf_counter()
+    classical = oracle.fit_classical(config.function, config.knots)
     if config.mode == "classical":
-        return oracle.fit_classical(config.function, config.knots)
+        return classical
+    classical_s = time.perf_counter() - started
 
-    target = TARGETS[config.function]
-    xs = sample_grid(config.knots, target.domain)
-    y01, _ = target_values(target, xs)
+    y01 = np.asarray(classical.y_target)
     system, _ = build_system(config.knots)
     n_qubits = config.knots.bit_length() - 1
 
@@ -99,16 +101,14 @@ def fit(config: FitConfig) -> FitReport:
     read_out = time.perf_counter()
 
     y_estimate = estimate.values * float(np.linalg.norm(y01))
-    classical = oracle.fit_classical(config.function, config.knots)
     timings = {
         "solve_s": solved - started,
         "readout_s": read_out - solved,
-        "classical_s": time.perf_counter() - read_out,
+        "classical_s": classical_s,
     }
 
-    return FitReport(
-        function=config.function,
-        knots=config.knots,
+    return replace(
+        classical,
         mode=config.mode,
         shots=config.shots if config.mode == "shots" else None,
         ansatz={
@@ -127,12 +127,8 @@ def fit(config: FitConfig) -> FitReport:
         },
         seed=config.seed,
         rng="numpy default_rng; restart i seeded by SeedSequence((seed, i))",
-        domain=target.domain,
-        xs=[float(x) for x in xs],
-        y_target=[float(v) for v in y01],
         y_estimate=[float(v) for v in y_estimate],
         nrmse=float(nrmse(y_estimate, y01)),
-        classical_nrmse=classical.nrmse,
         final_cost=solution.final_cost,
         cost_trace=list(solution.cost_trace),
         converged=solution.converged,

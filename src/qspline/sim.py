@@ -5,7 +5,6 @@ Conventions used throughout the package:
 * qubit 0 is the least significant bit of the amplitude index (little-endian),
   so ``|q_{n-1} ... q_1 q_0>`` maps to index ``sum(q_k << k)``
 * ``Ry(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]``
-* global phase carries no meaning; use :func:`states_close` to compare states
 
 Everything is a pure function over immutable values.  Registers stay tiny
 (the fitting pipeline never needs more than six qubits), so gates are applied
@@ -54,7 +53,6 @@ __all__ = [
     "controlled_ops",
     "hadamard_test",
     "sample_overlap",
-    "states_close",
 ]
 
 _UNITARY_TOL = 1e-12
@@ -120,7 +118,6 @@ CZ = controlled(Z)
 RY_3PI = ry(3 * math.pi)
 
 # (gate, targets) pairs; an empty sequence is the identity
-GateOp = tuple  # (Gate, tuple[int, ...])
 GateSequence = Sequence
 
 
@@ -405,11 +402,3 @@ def _draw(p1, shots: int, seed: int | None):
         raise ValueError("shots must be positive")
     n1 = np.random.default_rng(seed).binomial(shots, p1)
     return (shots - 2 * n1) / shots
-
-
-def states_close(a: QuantumState, b: QuantumState, tol: float = 1e-10) -> bool:
-    """Equality up to global phase."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
-    return bool(overlap >= 1.0 - tol)

@@ -245,6 +245,10 @@ def test_bench_worker_pool_reports_each_failed_fit_in_order(tmp_path, monkeypatc
     summary = (tmp_path / "bench_K64_seed42.csv").read_text().splitlines()
     assert summary[-1] == "vqls,64,nan,nan,nan,nan"
     assert [p.name for p in tmp_path.iterdir()] == ["bench_K64_seed42.csv"]
+    # the classical floors do not depend on the failed quantum fits
+    floors = tmp_path / "classical-only"
+    assert cli.main(["bench", "--classical-only", "--knots", "64", "--out", str(floors)]) == 0
+    assert summary[2] == (floors / "bench_K64_seed42.csv").read_text().splitlines()[2]
 
 
 def test_fit_svg_is_well_formed(tmp_path):
@@ -323,9 +327,10 @@ def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
 
 
 @pytest.mark.parametrize("config, env", [("ansatz=brick", None), ("layers=2", None),
-                                         ("degree=1", None), ("seed=-1", None), ("", "-1")],
+                                         ("degree=1", None), ("seed=-1", None), ("", "-1"),
+                                         ("mode=classical", None)],
                          ids=["ansatz-word", "layers-key", "degree-key", "seed-config",
-                              "seed-env"])
+                              "seed-env", "mode-classical"])
 def test_bad_settings_from_a_file_or_the_environment_are_usage_errors(
         tmp_path, capsys, monkeypatch, config, env):
     if env is None:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspline import oracle
+from qspline import oracle, pipeline
 from qspline.bspline import design_matrix_d1
+from qspline.functions import target_values
 
 
 def test_identity_system_returns_the_target():
@@ -17,50 +18,44 @@ def test_identity_system_returns_the_target():
 def test_hand_checked_bidiagonal_solution():
     dm = design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0]))
     sol = oracle.solve_exact(dm, np.array([0.0, 0.4, 0.7, 1.0]))
-    assert sol.method == "back-substitution"
     assert np.max(np.abs(sol.beta - [0.0, 0.4, 0.4, 1.0])) < 1e-12
     assert np.max(np.abs(dm.entries @ sol.beta - [0.0, 0.4, 0.7, 1.0])) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None)
-def test_back_substitution_agrees_with_elimination(seed):
+def test_back_substitution_agrees_with_numpy(seed):
     rng = np.random.default_rng(seed)
     interior = np.sort(rng.uniform(0.01, 0.99, 6))
     dm = design_matrix_d1(np.concatenate([[0.0], interior, [1.0]]))
     y = rng.uniform(-1.0, 1.0, 8)
     fast = oracle.solve_exact(dm, y)
-    general = oracle._eliminate(dm.entries, y)
-    assert fast.method == "back-substitution"
-    assert np.max(np.abs(fast.beta - general)) < 1e-10
+    assert np.max(np.abs(fast.beta - np.linalg.solve(dm.entries, y))) < 1e-10
 
 
-def test_random_dense_system_residual():
+def _dense():
     rng = np.random.default_rng(99)
-    matrix = rng.uniform(-1.0, 1.0, (8, 8)) + 4.0 * np.eye(8)
-    y = rng.uniform(-1.0, 1.0, 8)
-    sol = oracle.solve_exact(matrix, y)
-    assert sol.method == "elimination"
-    assert sol.residual < 1e-10
+    return rng.uniform(-1.0, 1.0, (8, 8)) + 4.0 * np.eye(8)
+
+
+def _dilation():
+    # [[0, S], [S^T, 0]]: nonsingular, but neither triangle is empty
+    s = design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0])).entries
+    zeros = np.zeros((4, 4))
+    return np.block([[zeros, s], [s.T, zeros]])
+
+
+@pytest.mark.parametrize("matrix", [_dense(), _dilation()], ids=["dense", "dilation"])
+def test_a_matrix_that_is_not_upper_bidiagonal_is_refused(matrix):
+    with pytest.raises(ValueError, match="upper-bidiagonal") as info:
+        oracle.solve_exact(matrix, np.ones(8))
+    assert not isinstance(info.value, oracle.SingularMatrixError)
 
 
 def test_singular_matrix_raises():
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    singular = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(oracle.SingularMatrixError):
         oracle.solve_exact(singular, np.array([1.0, 0.0]))
-
-
-def test_dilated_solve_stacks_zero_then_solution():
-    dm = design_matrix_d1(np.array([0.0, 0.25, 0.5, 1.0]))
-    y = np.array([0.0, 0.4, 0.7, 1.0])
-    direct = oracle.solve_exact(dm, y)
-    # [[0, S], [S^T, 0]] has a zero leading pivot, so elimination must swap rows
-    zeros = np.zeros((4, 4))
-    dilation = np.block([[zeros, dm.entries], [dm.entries.T, zeros]])
-    dilated = oracle.solve_exact(dilation, np.concatenate([y, np.zeros(4)]))
-    assert dilated.method == "elimination"
-    assert np.max(np.abs(dilated.beta[:4])) < 1e-10
-    assert np.max(np.abs(dilated.beta[4:] - direct.beta)) < 1e-10
 
 
 def test_classical_fit_interpolates():
@@ -79,3 +74,17 @@ def test_classical_fit_tiny_grid_is_exact():
 def test_classical_fit_validates_arguments():
     with pytest.raises(ValueError):
         oracle.fit_classical("tanh", 16)
+
+
+def test_a_quantum_fit_samples_its_target_once(monkeypatch):
+    calls = []
+
+    def counting(fn, xs):
+        calls.append(fn.name)
+        return target_values(fn, xs)
+
+    for module in (pipeline, oracle):
+        monkeypatch.setattr(module, "target_values", counting, raising=False)
+    report = pipeline.fit(pipeline.FitConfig(function="sin", knots=2, restarts=1))
+    assert report.mode == "exact"
+    assert calls == ["sin"]

@@ -201,11 +201,3 @@ def test_hadamard_test_validates_qubit_range():
     prep = sim.amplitude_encode([1.0, 1.0])
     with pytest.raises(IndexError):
         sim.hadamard_test(prep.ops, [(sim.X, (5,))], 1)
-
-
-def test_states_close_ignores_global_phase():
-    plus = sim.amplitude_encode([1.0, 1.0]).state
-    minus = sim.QuantumState(1, -plus.amplitudes)
-    other = sim.amplitude_encode([1.0, -1.0]).state
-    assert sim.states_close(plus, minus)
-    assert not sim.states_close(plus, other)

@@ -10,7 +10,12 @@ Exact mode evaluates the cost straight from matrix algebra, as
 ``r = psi - (Y . psi) Y``: the same number without the cancellation of
 ``1 - ...`` near a solution.  Its gradient is one adjoint sweep
 (Jones & Gacon, 2020): dC/dv = S^T (2/d)(r - C psi) pulled back through the
-trial circuit in reverse, over the forward pass that built the state.
+trial circuit in reverse, over the forward pass that built the state.  On
+the rotation tree both are whole-array passes: the forward pass gathers one
+cosine or sine per level and leaf and takes their running product down the
+levels, and the sweep multiplies each level's prefix by the running product
+of the levels below it and sums the result into the angles with one
+bincount.
 Shots mode assembles the cost from the overlaps that Hadamard tests over
 pairs of terms of an LCU decomposition of S estimate: the term states
 A_l V|0>, each Pauli string a signed gather of V|0>, give every pair in
@@ -63,6 +68,7 @@ MAX_ITER = 10_000  # default cap on the BFGS iterations of one restart
 FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
 STOP_COST = 1e-8  # good enough to skip the remaining restarts
 SUCCESS_COST = 1e-3  # below this the solve counts as converged
+STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
 
 
 def default_layers(n_qubits: int) -> int:
@@ -154,28 +160,49 @@ def _rotate(vec: np.ndarray, qubit: int, c: float, s: float) -> None:
     view[:, 1, :] = s * lo + c * hi
 
 
+@lru_cache(maxsize=16)
+def _tree_index(n_qubits: int) -> np.ndarray:
+    """Index table of the rotation tree into ``[1 | cos | sin]`` of its half
+    angles, as a read-only ``(n + 1, 2^n)`` array.
+
+    Row 0 picks the 1; row l + 1 picks, for each leaf, the factor that
+    level l contributes on the leaf's path: for the angle of node
+    ``leaf >> (n - l)`` of that level, its cosine where bit n - 1 - l of the
+    leaf is 0 and its sine where it is 1.
+    """
+    n, dim = n_qubits, 1 << n_qubits
+    leaves = np.arange(dim)
+    level = np.arange(n)[:, None]
+    angle = (1 << level) - 1 + (leaves >> (n - level))
+    branch = (leaves >> (n - 1 - level)) & 1
+    index = np.zeros((n + 1, dim), dtype=np.intp)
+    index[1:] = 1 + angle + (dim - 1) * branch
+    index.flags.writeable = False
+    return index
+
+
+_ONE = np.ones(1)
+
+
 def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
     """Trial state at ``theta``, with what the adjoint sweep reads.
 
-    Returns ``(cos, sin, amps)``: the cosines and sines of the half angles,
-    and either every level of the rotation tree, root first, or the brick
-    wall's state alone, so ``amps[-1]`` is the trial state.  Tree level l
-    holds the 2^l prefix amplitudes: walking down, the children of a node
-    split its amplitude by the cosine and sine of its angle.
+    For the tree, returns ``(trig, factors, amps)``: ``trig`` is
+    ``[1 | cos | sin]`` of the half angles, ``factors`` its gather through
+    :func:`_tree_index`, and ``amps`` their running product down the levels,
+    so row l holds each leaf's prefix amplitude above level l and the last
+    row is the trial state.  The product runs in the order of the level by
+    level walk, where the children of a node split its amplitude by the
+    cosine and sine of its angle, so the state is bitwise the same.  For the
+    brick wall, returns ``(cos, sin, [state])``.
     """
     n = config.n_qubits
     half = theta / 2.0
     cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        amps = [np.ones(1)]
-        for level in range(n):
-            width = 1 << level
-            span = slice(width - 1, 2 * width - 1)  # this level's angles
-            children = np.empty(2 * width)
-            np.multiply(amps[-1], cos[span], out=children[0::2])
-            np.multiply(amps[-1], sin[span], out=children[1::2])
-            amps.append(children)
-        return cos, sin, amps
+        trig = np.concatenate((_ONE, cos, sin))
+        factors = trig[_tree_index(n)]
+        return trig, factors, np.multiply.accumulate(factors, axis=0)
     vec = np.zeros(1 << n)
     vec[0] = 1.0
     for q in range(n):
@@ -238,31 +265,35 @@ def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple,
     of :func:`_exact_cost`.
 
     The sweep starts from g = dC/dv = S^T (2/d)(r - C psi) and pulls it back
-    through the circuit in reverse.  In the tree, a node of angle t and
-    prefix amplitude a splits into children whose subtrees sum g against
-    their amplitudes to u_L and u_R; then dC/dt = a (-sin(t/2) u_L +
-    cos(t/2) u_R) / 2, and the node's own sum is cos(t/2) u_L + sin(t/2) u_R.
+    through the circuit in reverse.  In the tree, each leaf amplitude is a
+    product of one factor per level, cos(t/2) or sin(t/2) of the angle on
+    its path, so at level l it contributes (prefix above l) x (product of
+    the factors below l) x g to the sum u_L or u_R of its angle's cosine or
+    sine branch; the products below come from one running product up the
+    levels, seeded with g, and one bincount sums each branch.  Then
+    dC/dt = (cos(t/2) u_R - sin(t/2) u_L) / 2.
     In the brick wall, a rotation's derivative is half the pair rotation
     J = [[0, -1], [1, 0]] applied after it, so dC/dt = (lam . J psi) / 2 for
     the state psi and cotangent lam right after that gate; both are then
     rotated back by -t, and a CZ layer's sign mask undoes itself.
     """
-    cos, sin, amps = forward
     cost, psi, residual, denom = terms
     n = config.n_qubits
     g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
-    grad = np.empty(config.n_params)
     if config.kind == "tree":
-        u = g
-        for level in range(n - 1, -1, -1):
-            width = 1 << level
-            span = slice(width - 1, 2 * width - 1)  # this level's angles
-            c, s = cos[span], sin[span]
-            u_left, u_right = u[0::2], u[1::2]
-            grad[span] = amps[level] * (c * u_right - s * u_left) / 2.0
-            u = c * u_left + s * u_right
-        return grad
+        trig, factors, amps = forward
+        # row k: g times the factors of the k deepest levels, so reversed,
+        # row l is g times the factors below level l
+        below = np.concatenate((g[None], factors[:1:-1]))
+        np.multiply.accumulate(below, axis=0, out=below)
+        # summed into the bins of trig: u_L at each cosine, u_R at each sine
+        sums = np.bincount(_tree_index(n)[1:].ravel(), (amps[:-1] * below[::-1]).ravel(),
+                           minlength=trig.size)
+        split = config.n_params + 1
+        return (trig[1:split] * sums[split:] - trig[split:] * sums[1:split]) / 2.0
 
+    cos, sin, amps = forward
+    grad = np.empty(config.n_params)
     pair = np.stack([amps[-1], g])  # the state and its cotangent, rotated back together
     pos = config.n_params
     for layer in range(config.layers, -1, -1):
@@ -438,7 +469,10 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
     The first step is along -g; after the first accepted step H becomes
     (s.y / y.y) I, and every accepted step with curvature s.y > 0 applies
     the standard inverse update.  H falls back to the identity whenever -Hg
-    is not a descent direction.  Each step size is found by Armijo
+    is not a descent direction, and after any step accepted only at
+    ``STALE_HALVINGS`` or more halvings: near the cost's rounding floor an H
+    kept from above it goes stale, and its steps would pass only at tiny
+    step sizes, one iteration after another.  Each step size is found by Armijo
     backtracking from 1 (c1 = 1e-4, strict decrease, at most 60 halvings),
     so the recorded trace strictly decreases.  ``point(x)`` returns the cost
     at x and a thunk for the gradient there, which runs for the start and
@@ -455,7 +489,7 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
     h = None  # None stands for the identity, before any curvature is seen
     for _ in range(max_iter):
         gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0 or not np.isfinite(gnorm2):
+        if gnorm2 == 0.0 or not math.isfinite(gnorm2):
             return theta, cost, trace, "no descent", points, gradients
         step = -grad if h is None else -(h @ grad)
         slope = float(grad @ step)
@@ -474,11 +508,14 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
         gradients += 1
         s, y = candidate - theta, new_grad - grad
         sy = float(s @ y)
-        if sy > 0.0:
+        if halvings >= STALE_HALVINGS:
+            h = None
+        elif sy > 0.0:
             if h is None:
                 h = (sy / float(y @ y)) * np.eye(theta.size)
             hy = h @ y
-            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+            col_s, col_hy = s[:, None], hy[:, None]
+            h += ((sy + y @ hy) * (col_s * s) / sy - col_hy * s - col_s * hy) / sy
         theta, cost, grad = candidate, new_cost, new_grad
         trace.append(cost)
     return theta, cost, trace, "max_iter", points, gradients

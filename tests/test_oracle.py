@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qspline import oracle, pipeline
 from qspline.bspline import design_matrix_d1
@@ -23,6 +23,8 @@ def test_hand_checked_bidiagonal_solution():
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
+@example(588)  # |beta| reaches 1.1e6, so the two solves differ by 2.3e-10
+@example(18996)  # differs by 2.2e-13 relative, with |beta| only 1.4
 @settings(max_examples=60, deadline=None)
 def test_back_substitution_agrees_with_numpy(seed):
     rng = np.random.default_rng(seed)
@@ -30,7 +32,12 @@ def test_back_substitution_agrees_with_numpy(seed):
     dm = design_matrix_d1(np.concatenate([[0.0], interior, [1.0]]))
     y = rng.uniform(-1.0, 1.0, 8)
     fast = oracle.solve_exact(dm, y)
-    assert np.max(np.abs(fast.beta - np.linalg.solve(dm.entries, y))) < 1e-10
+    want = np.linalg.solve(dm.entries, y)
+    # both solves are backward stable, so each lies within about
+    # n * eps * cond(S) * |beta| of the exact solution, for n unknowns;
+    # over seeds 0..19 999 they differ by at most 0.51 * eps * cond(S) * |beta|
+    bound = y.size * np.finfo(float).eps * np.linalg.cond(dm.entries, np.inf)
+    assert np.max(np.abs(fast.beta - want)) <= bound * np.max(np.abs(want))
 
 
 def _dense():

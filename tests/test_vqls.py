@@ -307,6 +307,47 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         monkeypatch.undo()
 
 
+def _reference_tree_gradient(matrix, theta, terms):
+    """Level-by-level adjoint sweep of the rotation tree: walk down keeping
+    every level's prefix amplitudes, then walk up summing g over each
+    subtree.  A node of angle t and prefix amplitude a, whose children sum
+    to u_L and u_R, gets a (cos(t/2) u_R - sin(t/2) u_L) / 2 and passes
+    cos(t/2) u_L + sin(t/2) u_R up."""
+    cost, psi, residual, denom = terms
+    n = (theta.size + 1).bit_length() - 1
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    amps = [np.ones(1)]
+    for level in range(n):
+        span = slice((1 << level) - 1, (2 << level) - 1)
+        amps.append(np.stack([amps[-1] * cos[span], amps[-1] * sin[span]], axis=1).reshape(-1))
+    u = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
+    grad = np.empty(theta.size)
+    for level in range(n - 1, -1, -1):
+        span = slice((1 << level) - 1, (2 << level) - 1)
+        c, s = cos[span], sin[span]
+        grad[span] = amps[level] * (c * u[1::2] - s * u[0::2]) / 2.0
+        u = c * u[0::2] + s * u[1::2]
+    return grad
+
+
+@pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
+def test_tree_sweep_matches_the_level_by_level_recursion(knots):
+    matrix, y, config = _elu_system(knots, "tree")
+    rng = np.random.default_rng(200 + knots)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (40, config.n_params))
+    # every other point pins about a third of its angles to 0, pi or 2 pi,
+    # where a branch of the tree carries an exact zero
+    for theta in thetas[1::2]:
+        pinned = rng.random(theta.size) < 0.35
+        theta[pinned] = rng.choice([0.0, np.pi, 2.0 * np.pi], pinned.sum())
+    for theta in thetas:
+        forward = vqls._forward(config, theta)
+        terms = vqls._exact_cost(matrix, y, forward[2][-1])
+        want = _reference_tree_gradient(matrix, theta, terms)
+        got = vqls._adjoint_sweep(matrix, config, forward, terms)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("kind", ["tree", "layered"])
 def test_shots_point_equals_single_point_costs(kind, monkeypatch):
     system = _spline_system(4)
@@ -439,6 +480,72 @@ def test_bfgs_resets_h_when_rounding_leaves_no_descent_direction():
     assert reason == "max_iter" and len(trace) == 41 == gradients
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     assert cost < 1e-200
+
+
+def _frozen_bfgs(point, theta0, max_iter):
+    """The BFGS loop before its stale-H reset, frozen: np.outer for the
+    rank-one terms and np.isfinite for the gradient check."""
+    theta = theta0.astype(float).copy()
+    cost, gradient = point(theta)
+    grad = gradient()
+    trace = [cost]
+    h = None
+    for _ in range(max_iter):
+        gnorm2 = float(grad @ grad)
+        if gnorm2 == 0.0 or not np.isfinite(gnorm2):
+            break
+        step = -grad if h is None else -(h @ grad)
+        slope = float(grad @ step)
+        if not slope < 0.0:
+            h, step, slope = None, -grad, -gnorm2
+        for halvings in range(61):
+            alpha = 0.5**halvings
+            candidate = theta + alpha * step
+            new_cost, gradient = point(candidate)
+            if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
+                break
+        else:
+            break
+        new_grad = gradient()
+        s, y = candidate - theta, new_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ y)) * np.eye(theta.size)
+            hy = h @ y
+            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+        theta, cost, grad = candidate, new_cost, new_grad
+        trace.append(cost)
+    return theta, trace
+
+
+def test_bfgs_update_is_bitwise_the_frozen_loop_on_a_quadratic():
+    # no step of this descent needs ten halvings, so the reset never fires
+    # and the broadcast outer products must give the frozen loop's bytes
+    rng = np.random.default_rng(15)
+    rotation = np.linalg.qr(rng.standard_normal((15, 15)))[0]
+    theta0 = rng.uniform(-1.0, 1.0, 15)
+    f = _Quadratic(np.logspace(0.0, -8.0, 15), rotation)
+    theta, _, trace, *_ = vqls._bfgs(f, theta0, 200)
+    want_theta, want_trace = _frozen_bfgs(f, theta0, 200)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+
+
+@pytest.mark.parametrize(("function", "restart"), [("relu", 3), ("sin", 0)])
+def test_bfgs_does_not_walk_the_rounding_floor_on_a_stale_h(function, restart):
+    # near cost 1e-27 the cost's rounding hides the curvature, and an H kept
+    # from above the floor proposes steps that only pass at alpha = 2^-11;
+    # resetting H after such a step keeps the floor to a few iterations.
+    # Without the reset, the sin restart spends 45 iterations there.
+    matrix, config = _spline_system(16).entries, vqls.AnsatzConfig(n_qubits=4)
+    y = vqls._y_vector(oracle.fit_classical(function, 16).y_target)  # as pipeline.fit
+    rng = np.random.default_rng(np.random.SeedSequence((42, restart)))
+    theta0 = rng.uniform(0.0, 2.0 * math.pi, config.n_params)
+    _, cost, trace, reason, *_ = vqls._bfgs(vqls._exact_point(matrix, y, config), theta0,
+                                            vqls.MAX_ITER)
+    assert cost < 1e-26 and reason == "no descent"
+    assert sum(c < 1e-20 for c in trace) <= 30
 
 
 @pytest.mark.parametrize("seed", [42, 7])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import os
@@ -18,7 +19,7 @@ import threading
 
 import numpy as np
 
-from . import oracle, pipeline, svg, vqls
+from . import oracle, pipeline, svg
 from .bspline import build_system
 from .decomp import decompose_block, pauli_decompose, reconstruct
 from .functions import TARGETS
@@ -32,8 +33,6 @@ EXIT_NOT_CONVERGED = 2
 EXIT_IO = 3
 
 BENCH_ORDER = ("elu", "relu", "sigmoid", "sin")
-
-_MAX_ITER_HELP = "BFGS iteration cap of every restart; it does not cap cost evaluations"
 
 
 class UsageError(Exception):
@@ -54,6 +53,7 @@ _CHOICES = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qspline", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
-                       help="run seed (default: QSPLINE_SEED env or 42)")
+                       help=f"run seed (default: QSPLINE_SEED env or {pipeline.FitConfig.seed})")
         p.add_argument("--out", default=None, help="output directory (default: .)")
         p.add_argument("--config", default=None,
                        help="flat key=value file; explicit flags win")
@@ -73,7 +73,8 @@ def build_parser() -> _Parser:
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--ansatz", choices=_CHOICES["ansatz"], default=None)
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                       help=_MAX_ITER_HELP)
+                       help="BFGS iteration cap of every restart; it does not "
+                       "cap cost evaluations")
         p.add_argument("--svg", action="store_const", const=True, default=None,
                        help="also write an SVG plot")
         p.add_argument("--classical-only", action="store_const", const=True,
@@ -102,17 +103,14 @@ def build_parser() -> _Parser:
 # option resolution: flag > config file > environment (seed only) > default
 # ----------------------------------------------------------------------------
 
+_FIT_FIELDS = dataclasses.fields(pipeline.FitConfig)
+
+# fit settings default as in pipeline.FitConfig, but the CLI asks for --function
 _DEFAULTS = {
+    **{f.name: f.default for f in _FIT_FIELDS},
     "function": None,
-    "knots": 16,
-    "mode": "exact",
-    "shots": 10_000,
-    "restarts": 5,
-    "ansatz": "tree",
-    "max_iter": vqls.MAX_ITER,
     "svg": False,
     "classical_only": False,
-    "seed": 42,
     "out": ".",
 }
 
@@ -179,18 +177,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _fit_config(settings: dict) -> pipeline.FitConfig:
     if settings["function"] is None:
         raise UsageError("--function is required (sigmoid, relu, elu, or sin)")
-    mode = "classical" if settings["classical_only"] else settings["mode"]
+    fit = {f.name: settings[f.name] for f in _FIT_FIELDS}
+    if settings["classical_only"]:
+        fit["mode"] = "classical"
     try:
-        return pipeline.FitConfig(
-            function=settings["function"],
-            knots=settings["knots"],
-            mode=mode,
-            shots=settings["shots"],
-            restarts=settings["restarts"],
-            seed=settings["seed"],
-            ansatz=settings["ansatz"],
-            max_iter=settings["max_iter"],
-        )
+        return pipeline.FitConfig(**fit)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -121,10 +121,6 @@ class LcuDecomposition:
                     f"term {t.label!r} acts on {t.n_qubits} qubits, expected {self.n_qubits}"
                 )
 
-    @property
-    def dimension(self) -> int:
-        return 1 << self.n_qubits
-
     def coefficients(self) -> np.ndarray:
         return np.array([t.coefficient for t in self.terms])
 
@@ -227,7 +223,7 @@ def signed_permutations(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 def reconstruct(decomp: LcuDecomposition) -> np.ndarray:
     """Dense sum of coefficient * unitary over all terms, in term order; the
     terms are real, so only the real part of the complex result accumulates."""
-    dim = decomp.dimension
+    dim = 1 << decomp.n_qubits
     cols, entries = signed_permutations(decomp.terms, decomp.n_qubits)
     entries *= decomp.coefficients()[:, None]
     out = np.zeros((dim, dim), dtype=complex)

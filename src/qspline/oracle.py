@@ -96,18 +96,12 @@ def fit_classical(function: str, knots: int) -> FitReport:
         function=function,
         knots=knots,
         mode="classical",
-        shots=None,
-        ansatz=None,
-        optimizer=None,
-        seed=None,
-        rng=None,
         domain=target.domain,
         xs=[float(v) for v in xs],
         y_target=[float(v) for v in y01],
         y_estimate=[float(v) for v in estimates],
         nrmse=score,
         classical_nrmse=score,
-        final_cost=None,
         converged=True,
         restarts_used=0,
         mean_bias=float(np.mean(estimates - y01)),

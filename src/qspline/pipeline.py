@@ -32,16 +32,16 @@ _MAX_SHOTS = 2**63 - 1  # numpy's binomial sampler takes an int64 count
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a single fit run needs; plain data so reports can embed it."""
+    """Everything a single fit run needs, and the one place it gets defaults."""
 
-    function: str = "sigmoid"
+    function: str
     knots: int = 16
-    mode: str = "exact"  # "exact" | "shots" | "classical"
-    shots: int = 10_000
-    restarts: int = 5
-    seed: int = 42
-    ansatz: str = "tree"  # "tree" | "layered"
-    max_iter: int = vqls.MAX_ITER
+    mode: str = vqls.SolveConfig.mode  # "exact" | "shots" | "classical"
+    shots: int = vqls.SolveConfig.shots
+    restarts: int = vqls.SolveConfig.restarts
+    seed: int = vqls.SolveConfig.seed
+    ansatz: str = vqls.AnsatzConfig.kind  # "tree" | "layered"
+    max_iter: int = vqls.SolveConfig.max_iter
 
     def __post_init__(self):
         if self.function not in TARGETS:

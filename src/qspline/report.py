@@ -10,7 +10,7 @@ configuration and diagnostics instead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = ["FitReport", "format_number", "CSV_HEADER"]
 
@@ -29,28 +29,29 @@ class FitReport:
     function: str
     knots: int
     mode: str  # "exact" | "shots" | "classical"
-    shots: int | None
-    ansatz: dict | None
-    optimizer: dict | None
-    seed: int | None
-    rng: str | None
     domain: tuple[float, float]
     xs: list[float]
     y_target: list[float]
     y_estimate: list[float]
     nrmse: float
     classical_nrmse: float | None
-    final_cost: float | None
     converged: bool
     restarts_used: int
     mean_bias: float
     degree: int = 1  # every spline here is degree 1; the sidecar records it
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
-    # quantum fits only: {"cost_rows", "gradients"} over all restarts, cond(S),
-    # one {"final_cost", "cost_rows", "gradients", "stop_reason"} per restart
-    # run, the seconds of the fit's stages {"solve_s", "readout_s",
-    # "classical_s"}, and the best restart's non-increasing cost trace
+    # quantum fits only: shots (in shots mode), the solver settings, seed and
+    # generator, the best restart's final cost, {"cost_rows", "gradients"}
+    # over all restarts, cond(S), one {"final_cost", "cost_rows", "gradients",
+    # "stop_reason"} per restart run, the seconds of the fit's stages
+    # {"solve_s", "readout_s", "classical_s"}, and the best restart's cost trace
+    shots: int | None = None
+    ansatz: dict | None = None
+    optimizer: dict | None = None
+    seed: int | None = None
+    rng: str | None = None
+    final_cost: float | None = None
     evaluations: dict | None = None
     condition_number: float | None = None
     restarts: list | None = None
@@ -61,22 +62,18 @@ class FitReport:
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}
         if lengths != {self.knots}:
             raise ValueError(
-                f"triples must all have length {self.knots}, got {sorted(lengths)}"
+                f"columns must all have length {self.knots}, got {sorted(lengths)}"
             )
-
-    def triples(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.xs, self.y_target, self.y_estimate))
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
-        for x, y, y_hat in self.triples():
+        for x, y, y_hat in zip(self.xs, self.y_target, self.y_estimate):
             lines.append(f"{format_number(x)},{format_number(y)},{format_number(y_hat)}")
         return "\n".join(lines) + "\n"
 
     def json_text(self) -> str:
-        payload = asdict(self)
-        payload["domain"] = list(self.domain)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """The sidecar: every field, keys sorted, straight from the report."""
+        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
     def stem(self) -> str:
         seed = "none" if self.seed is None else self.seed

@@ -31,7 +31,6 @@ __all__ = [
     "Gate",
     "QuantumState",
     "Preparation",
-    "I",
     "X",
     "Y",
     "Z",
@@ -105,7 +104,6 @@ def dagger(gate: Gate) -> Gate:
     return Gate(f"{gate.name}+", gate.matrix.conj().T)
 
 
-I = Gate("I", np.eye(2))
 X = Gate("X", np.array([[0.0, 1.0], [1.0, 0.0]]))
 Y = Gate("Y", np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 Z = Gate("Z", np.diag([1.0, -1.0]))

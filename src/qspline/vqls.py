@@ -48,9 +48,7 @@ __all__ = [
     "AnsatzConfig",
     "SolveConfig",
     "VqlsSolution",
-    "default_layers",
     "ansatz_ops",
-    "ansatz_state",
     "ansatz_state_vector",
     "cost_global",
     "solve",
@@ -71,15 +69,6 @@ SUCCESS_COST = 1e-3  # below this the solve counts as converged
 STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
 
 
-def default_layers(n_qubits: int) -> int:
-    """Entangling layers of the layered ansatz on ``n_qubits`` qubits.
-
-    The smallest brick-wall depth whose parameter map has full Jacobian
-    rank 2^n - 1; one layer fewer leaves some real states out of reach.
-    """
-    return _FULL_RANK_LAYERS[n_qubits]
-
-
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the trial-state circuit.
@@ -87,10 +76,10 @@ class AnsatzConfig:
     ``tree`` (default) reuses the multiplexed-rotation template of
     amplitude encoding with free angles, which can express any real state
     exactly and takes encoding angles as a known-good parameter vector.
-    ``layered`` is a brick wall: Ry on every qubit, then
-    :func:`default_layers` layers of [CZ on pairs (0,1), (2,3), ... in even
-    layers and (1,2), (3,4), ... in odd ones, Ry on every qubit]; its real
-    rotations sweep real unit vectors.
+    ``layered`` is a brick wall: Ry on every qubit, then :attr:`layers`
+    layers of [CZ on pairs (0,1), (2,3), ... in even layers and (1,2),
+    (3,4), ... in odd ones, Ry on every qubit]; its real rotations sweep
+    real unit vectors.
     """
 
     n_qubits: int
@@ -107,7 +96,7 @@ class AnsatzConfig:
     @property
     def layers(self) -> int | None:
         """Entangling layers of the layered circuit; None for the tree."""
-        return default_layers(self.n_qubits) if self.kind == "layered" else None
+        return _FULL_RANK_LAYERS[self.n_qubits] if self.kind == "layered" else None
 
     @property
     def n_params(self) -> int:
@@ -222,10 +211,6 @@ def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndar
     if theta.size != config.n_params:
         raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
     return _forward(config, theta)[2][-1]
-
-
-def ansatz_state(config: AnsatzConfig, theta: Sequence[float]) -> sim.QuantumState:
-    return sim.QuantumState(config.n_qubits, ansatz_state_vector(config, theta).astype(complex))
 
 
 # ----------------------------------------------------------------------------
@@ -474,12 +459,14 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
     kept from above it goes stale, and its steps would pass only at tiny
     step sizes, one iteration after another.  Each step size is found by Armijo
     backtracking from 1 (c1 = 1e-4, strict decrease, at most 60 halvings),
-    so the recorded trace strictly decreases.  ``point(x)`` returns the cost
-    at x and a thunk for the gradient there, which runs for the start and
-    for every accepted step.  Returns the end point, its cost, the trace,
-    why the loop stopped (``"no descent"``: a zero or non-finite gradient,
-    or no step size lowered the cost; or ``"max_iter"``) and the numbers of
-    points and of gradients taken.
+    so the recorded trace strictly decreases.  The search gives up at the
+    first step size whose candidate rounds back to theta: rounding is
+    monotone, so no smaller step can move theta or lower the cost.
+    ``point(x)`` returns the cost at x and a thunk for the gradient there,
+    which runs for the start and for every accepted step.  Returns the end
+    point, its cost, the trace, why the loop stopped (``"no descent"``: a
+    zero or non-finite gradient, or no step size lowered the cost; or
+    ``"max_iter"``) and the numbers of points and of gradients taken.
     """
     theta = theta0.astype(float).copy()
     cost, gradient = point(theta)
@@ -498,6 +485,9 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
         for halvings in range(61):
             alpha = 0.5**halvings
             candidate = theta + alpha * step
+            # bytes, not np.array_equal, which costs more than the point saved
+            if candidate.tobytes() == theta.tobytes():
+                return theta, cost, trace, "no descent", points, gradients
             new_cost, gradient = point(candidate)
             points += 1
             if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
@@ -580,7 +570,7 @@ def solve(
     theta, cost, trace = best
     return VqlsSolution(
         theta=theta,
-        beta_state=ansatz_state(ans, theta),
+        beta_state=sim.QuantumState(n, ansatz_state_vector(ans, theta).astype(complex)),
         final_cost=float(cost),
         cost_trace=tuple(float(c) for c in trace),
         converged=bool(cost <= SUCCESS_COST),

@@ -1,6 +1,7 @@
 """Command-line behavior: files, formats, exit codes, option precedence."""
 
 import concurrent.futures.process
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspline import cli, pipeline, vqls
+from qspline import cli, oracle, pipeline, vqls
 from qspline.functions import TARGETS
 from qspline.report import CSV_HEADER, format_number
 
@@ -60,6 +61,20 @@ def test_fit_report_sidecar_replays_configuration(tmp_path):
     tgt = np.array(payload["y_target"])
     recomputed = float(np.sqrt(np.mean((est - tgt) ** 2)) / (tgt.max() - tgt.min()))
     assert recomputed == pytest.approx(payload["nrmse"], abs=1e-12)
+
+
+@pytest.mark.parametrize("report", [
+    lambda: oracle.fit_classical("sin", 4),
+    lambda: pipeline.fit(pipeline.FitConfig(function="sin", knots=4, restarts=1)),
+    lambda: pipeline.fit(pipeline.FitConfig(function="sin", knots=2, mode="shots",
+                                            shots=1000, restarts=1, max_iter=2)),
+], ids=["classical", "exact", "shots"])
+def test_sidecar_is_the_text_of_a_deep_copy_of_the_report(report):
+    # json_text serializes the report's own fields without copying them
+    rep = report()
+    payload = dataclasses.asdict(rep)
+    payload["domain"] = list(rep.domain)
+    assert rep.json_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_layered_fit_sidecar_reports_the_derived_depth(tmp_path):
@@ -293,6 +308,32 @@ def test_missing_function_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["fit", "--out", str(tmp_path)])
     assert rc == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("argv", "code"), [
+    (["decompose", "--block", "0.5", "0.3"], 0),
+    (["fit"], 1),
+])
+def test_console_script_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qspline", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == code
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["decompose", "--block", "0.5", "0.3"]) == 0
+    assert built.count("qspline") == 1
 
 
 def test_bad_knot_count_is_a_usage_error(tmp_path):

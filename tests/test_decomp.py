@@ -33,7 +33,8 @@ def _kron_matrix(term):
 
 def _kron_reconstruct(d):
     """Sum of coefficient times :func:`_kron_matrix` over the terms, in order."""
-    out = np.zeros((d.dimension, d.dimension), dtype=complex)
+    dim = 1 << d.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
     for t in d.terms:
         out += t.coefficient * _kron_matrix(t)
     return out

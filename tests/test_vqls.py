@@ -50,8 +50,8 @@ def test_zero_parameters_prepare_the_zero_state():
         vqls.AnsatzConfig(n_qubits=3, kind="tree"),
         vqls.AnsatzConfig(n_qubits=4, kind="layered"),
     ):
-        state = vqls.ansatz_state(config, np.zeros(config.n_params))
-        assert abs(state.amplitudes[0] - 1.0) < 1e-12
+        state = vqls.ansatz_state_vector(config, np.zeros(config.n_params))
+        assert abs(state[0] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -482,6 +482,24 @@ def test_bfgs_resets_h_when_rounding_leaves_no_descent_direction():
     assert cost < 1e-200
 
 
+def test_bfgs_ends_a_line_search_at_the_first_step_that_rounds_to_theta():
+    # a flat cost with a fixed nonzero gradient: no step size lowers it, and
+    # once a candidate rounds back to theta every smaller step does too
+    theta0, grad = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+    taken = []
+
+    def point(x):
+        taken.append(x)
+        return 1.0, lambda: grad
+
+    _, cost, trace, reason, points, gradients = vqls._bfgs(point, theta0, 5)
+    first_unmoved = next(h for h in range(61)
+                         if (theta0 - 0.5**h * grad).tobytes() == theta0.tobytes())
+    assert first_unmoved < 60  # well short of the 61-halving cap
+    assert reason == "no descent" and trace == [cost] == [1.0] and gradients == 1
+    assert points == len(taken) == 1 + first_unmoved  # the start, then each halving before
+
+
 def _frozen_bfgs(point, theta0, max_iter):
     """The BFGS loop before its stale-H reset, frozen: np.outer for the
     rank-one terms and np.isfinite for the gradient check."""
@@ -613,8 +631,8 @@ def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeyp
     full = (1 << n_qubits) - 1  # the real unit sphere's dimension
     assert ranks() == [full] * 3
     if n_qubits >= 2:
-        shallower = vqls.default_layers(n_qubits) - 1
-        monkeypatch.setattr(vqls, "default_layers", lambda n: shallower)
+        depth = vqls._FULL_RANK_LAYERS[n_qubits]
+        monkeypatch.setitem(vqls._FULL_RANK_LAYERS, n_qubits, depth - 1)
         assert max(ranks()) < full
 
 

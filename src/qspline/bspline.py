@@ -10,7 +10,7 @@ x_k)`` on the diagonal and superdiagonal of interior row k, with unit rows at
 both ends, and :func:`build_system` is the one place that builds it on the
 K-point unit grid.  :func:`as_matrix` is the one way the solvers and the
 readout turn a system, given as a :class:`DesignMatrix` or as an array, into
-a matrix.
+a matrix, and :func:`bidiagonal_scaling` the one way to equilibrate it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "design_matrix_d1",
     "build_system",
     "as_matrix",
+    "bidiagonal_scaling",
 ]
 
 
@@ -153,3 +154,16 @@ def build_system(knots: int) -> tuple[DesignMatrix, np.ndarray]:
     """The degree-1 spline system on the ``knots``-point unit grid, and the grid."""
     grid = sample_grid(knots, (0.0, 1.0))
     return design_matrix_d1(grid), grid
+
+
+def bidiagonal_scaling(system: DesignMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalings ``(r, c)`` of an upper-bidiagonal S, diagonal d and
+    superdiagonal e, with ``r[:, None] * S * c = I + N``, N the ones where e
+    is nonzero: c_{k+1} = c_k d_k / e_k (or c_k where e_k = 0) from c_0 = 1,
+    and r_k = 1 / (d_k c_k).  cond(S) lives in the products of e_k / d_k."""
+    m = as_matrix(system)
+    d, e = np.diag(m), np.diag(m, 1)
+    c = np.ones(m.shape[0])
+    for k, (dk, ek) in enumerate(zip(d, e)):
+        c[k + 1] = c[k] * dk / ek if ek != 0.0 else c[k]
+    return 1.0 / (d * c), c

@@ -9,13 +9,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -223,57 +221,19 @@ def _table_row(model: str, knots, cells: list[str]) -> str:
     return f"{model:<20} {str(knots):>5}  " + "  ".join(f"{c:>10}" for c in cells)
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_pool(workers: int):
-    """A pool of ``workers`` forked processes, or None where forking is unsafe.
-
-    The pool modules are imported here, so ``fit``, ``decompose`` and
-    classical-only benches do not load them.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def cmd_bench(settings: dict) -> int:
-    """Fit every function of ``BENCH_ORDER``, then write the table and files.
-
-    The variational fits are independent, so they run in forked worker
-    processes, one per usable core; a forked worker inherits the modules
-    already imported here, where a spawned one would spend about 0.8 s
-    importing them again.  Results are read in ``BENCH_ORDER`` and a failed
-    fit is reported as it would be in-process, so every output is the same
-    as a serial run.  A fit that fails, or whose solve did not converge (one
-    ``warning:`` line each, its best effort still written), makes the exit
-    code 2.  Classical-only fits take microseconds, less than
-    starting and stopping a pool, so they stay in-process.  So do all fits
-    on one usable core, where ``fork`` is missing, and where this process
-    runs other threads, whose held locks a forked child would inherit.
-    """
-    configs = {name: _fit_config(dict(settings, function=name)) for name in BENCH_ORDER}
-    workers = min(len(configs), _usable_cpus())
-    pool = None if settings["classical_only"] or workers < 2 else _fork_pool(workers)
-    reports: dict[str, FitReport | None] = {}
+    """Fit every function of ``BENCH_ORDER`` in turn, then write the table
+    and files.  A fit that fails (a ``fit failed`` line and a ``nan`` cell)
+    or does not converge (a ``warning:`` line, its best effort written)
+    makes the exit code 2."""
+    reports: dict[str, FitReport | None] = dict.fromkeys(BENCH_ORDER)
     failed = False
-    with pool or contextlib.nullcontext():
-        fits = {name: pool.submit(pipeline.fit, config).result if pool
-                else functools.partial(pipeline.fit, config)
-                for name, config in configs.items()}
-        for name in BENCH_ORDER:
-            try:
-                reports[name] = fits[name]()
-            except (ValueError, ArithmeticError) as exc:
-                print(f"{name}: fit failed: {exc}", file=sys.stderr)
-                reports[name] = None
-                failed = True
+    for name in BENCH_ORDER:
+        try:
+            reports[name] = pipeline.fit(_fit_config(dict(settings, function=name)))
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{name}: fit failed: {exc}", file=sys.stderr)
+            failed = True
 
     for name, rep in reports.items():
         if rep is not None:

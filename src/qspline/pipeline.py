@@ -4,7 +4,10 @@ This is the glue the CLI calls.  Every fit starts from the classical fit,
 which samples and normalizes the target once and interpolates it exactly:
 it is the floor every quantum run is compared against.  The quantum path
 then runs the variational solve and the inner-product readout on the same
-targets, and reports both error numbers side by side.
+targets, and reports both error numbers side by side.  The solver sees the
+equilibrated system R S D = I + N and the target R y; its solution beta'
+maps back to S's own, D beta' normalized, which the readout reads on the
+rows of S.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle, readout, vqls
-from .bspline import build_system
+from . import oracle, readout, sim, vqls
+from .bspline import bidiagonal_scaling, build_system
 from .functions import TARGETS, nrmse
 from .report import FitReport
 
@@ -73,8 +76,12 @@ def fit(config: FitConfig) -> FitReport:
     classical_s = time.perf_counter() - started
 
     y01 = np.asarray(classical.y_target)
-    system, _ = build_system(config.knots)
-    n_qubits = config.knots.bit_length() - 1
+    matrix = build_system(config.knots)[0].entries
+    # scaled, even a numerically singular S looks well conditioned
+    condition_number = float(np.linalg.cond(matrix))
+    if condition_number > vqls.SINGULAR_COND:
+        raise ValueError("system matrix is singular")
+    r, c = bidiagonal_scaling(matrix)
 
     solve_cfg = vqls.SolveConfig(
         mode=config.mode,
@@ -83,15 +90,18 @@ def fit(config: FitConfig) -> FitReport:
         restarts=config.restarts,
         seed=config.seed,
     )
-    ansatz_cfg = vqls.AnsatzConfig(n_qubits=n_qubits, kind=config.ansatz)
+    ansatz_cfg = vqls.AnsatzConfig(n_qubits=config.knots.bit_length() - 1, kind=config.ansatz)
 
     started = time.perf_counter()
-    solution = vqls.solve(system, y01, solve_cfg, ansatz_cfg)
+    solution = vqls.solve(r[:, None] * matrix * c, r * y01, solve_cfg, ansatz_cfg)
     solved = time.perf_counter()
     y_unit = y01 / float(np.linalg.norm(y01))
+    # the rows of S D reach norms near 1e8 at K = 32, and each scales its
+    # row's shot noise; the rows of S stay at most 1
+    beta = c * solution.beta_state.amplitudes
     estimate = readout.recover_estimates(
-        system,
-        solution.beta_state,
+        matrix,
+        sim.QuantumState(ansatz_cfg.n_qubits, beta / np.linalg.norm(beta)),
         y_unit,
         mode=config.mode,
         shots=config.shots,
@@ -141,7 +151,8 @@ def fit(config: FitConfig) -> FitReport:
             "nrmse": QSPLINES_BASELINE[config.function],
         },
         evaluations=dict(solution.evaluations),
-        condition_number=solution.condition_number,
+        condition_number=condition_number,
+        solved_condition_number=solution.condition_number,
         restarts=[dict(r) for r in solution.restarts],
         timings=timings,
     )

@@ -43,9 +43,10 @@ class FitReport:
     baseline: dict = field(default_factory=dict)
     # quantum fits only: shots (in shots mode), the solver settings, seed and
     # generator, the best restart's final cost, {"cost_rows", "gradients"}
-    # over all restarts, cond(S), one {"final_cost", "cost_rows", "gradients",
-    # "stop_reason"} per restart run, the seconds of the fit's stages
-    # {"solve_s", "readout_s", "classical_s"}, and the best restart's cost trace
+    # over all restarts, cond(S) and cond(R S D) of the solved system, one
+    # {"final_cost", "cost_rows", "gradients", "stop_reason"} per restart
+    # run, the seconds of the fit's stages {"solve_s", "readout_s",
+    # "classical_s"}, and the best restart's cost trace
     shots: int | None = None
     ansatz: dict | None = None
     optimizer: dict | None = None
@@ -54,6 +55,7 @@ class FitReport:
     final_cost: float | None = None
     evaluations: dict | None = None
     condition_number: float | None = None
+    solved_condition_number: float | None = None
     restarts: list | None = None
     timings: dict | None = None
     cost_trace: list | None = None

@@ -67,6 +67,7 @@ FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
 STOP_COST = 1e-8  # good enough to skip the remaining restarts
 SUCCESS_COST = 1e-3  # below this the solve counts as converged
 STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
+SINGULAR_COND = 1e12  # a system of larger condition number counts as singular
 
 
 @dataclass(frozen=True)
@@ -297,9 +298,12 @@ def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple,
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
     """Coefficients, then the ``(T, 2**n)`` gather indices and signs of the
     terms of the Pauli LCU of ``matrix``: term l maps v to
-    ``signs[l] * v[cols[l]]``."""
+    ``signs[l] * v[cols[l]]``; then the index arrays of the term pairs
+    l < m, row by row."""
     lcu = pauli_decompose(matrix)
-    return (lcu.coefficients(), *signed_permutations(lcu.terms, lcu.n_qubits))
+    coeffs = lcu.coefficients()
+    return (coeffs, *signed_permutations(lcu.terms, lcu.n_qubits),
+            np.triu_indices(len(coeffs), 1))
 
 
 def _shots_cost(
@@ -320,10 +324,9 @@ def _shots_cost(
     fill both triangles of a unit-diagonal G, and the cost is
     1 - (c . gamma)^2 / (c^T G c).
     """
-    coeffs, cols, signs = lcu
+    coeffs, cols, signs, pairs = lcu
     phi = signs * v[cols]
     n_terms = len(coeffs)
-    pairs = np.triu_indices(n_terms, 1)
     estimates = sim.sample_overlap(
         np.concatenate([phi @ y, (phi @ phi.T)[pairs]]), shots, seed
     )
@@ -396,7 +399,8 @@ class VqlsSolution:
     (a zero gradient, or no step size lowered the cost) or ``"max_iter"``.
     ``evaluations`` sums the two counts over every restart, and
     ``cost_trace`` is the best restart's.
-    ``condition_number`` is cond(S), from the singularity check.
+    ``condition_number`` is cond of the matrix :func:`solve` was given, from
+    its singularity check.
     """
 
     theta: np.ndarray
@@ -535,7 +539,7 @@ def solve(
     if not np.all(np.isfinite(matrix)):
         raise ValueError("system matrix is singular")
     condition_number = float(np.linalg.cond(matrix))
-    if condition_number > 1e12:
+    if condition_number > SINGULAR_COND:
         raise ValueError("system matrix is singular")
     ans = ansatz or AnsatzConfig(n_qubits=n)
     if ans.n_qubits != n:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspline import bspline
+from qspline import bspline, pipeline
 
 
 def test_uniform_knots_layout():
@@ -99,3 +99,12 @@ def test_interior_rows_carry_the_point_coordinates():
     assert dm.entries[2, 2] == pytest.approx(0.5)
     assert dm.entries[2, 3] == pytest.approx(0.5)
 
+
+@pytest.mark.parametrize("knots", pipeline._ALLOWED_KNOTS)
+def test_bidiagonal_scaling_equilibrates_every_spline_system(knots):
+    system, _ = bspline.build_system(knots)
+    r, c = bspline.bidiagonal_scaling(system)
+    scaled = r[:, None] * system.entries * c
+    ones = (np.diag(system.entries, 1) != 0.0).astype(float)
+    assert np.max(np.abs(scaled - np.eye(knots) - np.diag(ones, 1))) <= 4.4e-16
+    assert np.linalg.cond(scaled) <= 100.0

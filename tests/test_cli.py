@@ -1,6 +1,5 @@
 """Command-line behavior: files, formats, exit codes, option precedence."""
 
-import concurrent.futures.process
 import dataclasses
 import json
 import os
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspline import cli, oracle, pipeline, vqls
+from qspline import bspline, cli, oracle, pipeline, vqls
 from qspline.functions import TARGETS
 from qspline.report import CSV_HEADER, format_number
 
@@ -100,12 +99,17 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
     assert first["optimizer"]["fd_step"] == vqls.FD_STEP  # shots mode keeps central differences
     system, _ = pipeline.build_system(4)
     assert first["condition_number"] == float(np.linalg.cond(system.entries))
+    # the solver sees the equilibrated system R S D
+    r, c = bspline.bidiagonal_scaling(system)
+    scaled = r[:, None] * system.entries * c
+    assert first["solved_condition_number"] == float(np.linalg.cond(scaled))
 
     assert cli.main(["fit", "--function", "sin", "--knots", "4", "--classical-only",
                      "--out", str(tmp_path / "c")]) == 0
     classical = json.loads((tmp_path / "c" / "fit_sin_K4_seednone.json").read_text())
     assert classical["evaluations"] is None
     assert classical["condition_number"] is None
+    assert classical["solved_condition_number"] is None
 
 
 def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
@@ -199,47 +203,15 @@ def test_fits_run_without_scipy(tmp_path):
         assert (tmp_path / mode / "fit_sin_K4_seed42.csv").exists()
 
 
-def _force_cores(monkeypatch, cores: int) -> list:
-    """Make ``bench`` see ``cores`` usable cores; return a list that records
-    the worker count and start method of each pool it starts."""
-    pools = []
-    executor = concurrent.futures.process.ProcessPoolExecutor
-
-    def pool(workers, mp_context):
-        pools.append((workers, mp_context.get_start_method()))
-        return executor(workers, mp_context=mp_context)
-
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cores)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    return pools
-
-
 _VOLATILE = ("wall_seconds", "timings")
 
 
-def test_bench_worker_pool_changes_no_output_byte(tmp_path, monkeypatch, capsys):
-    no_pools = _force_cores(monkeypatch, 1)
-    assert cli.main(["bench", "--knots", "4", "--out", str(tmp_path / "serial")]) == 0
-    assert no_pools == []
-    serial = capsys.readouterr()
-    pools = _force_cores(monkeypatch, 2)
-    # classical-only fits stay in-process even with cores to spare
-    assert cli.main(["bench", "--knots", "4", "--classical-only",
-                     "--out", str(tmp_path / "classical")]) == 0
-    assert pools == []
-    capsys.readouterr()
-    assert cli.main(["bench", "--knots", "4", "--out", str(tmp_path / "pool")]) == 0
-    assert pools == [(2, "fork")]
-    pooled = capsys.readouterr()
-    assert pooled.out == serial.out.replace("serial", "pool")
-    assert pooled.err == serial.err == ""
-
-    summary = "bench_K4_seed42.csv"
-    assert ((tmp_path / "pool" / summary).read_bytes()
-            == (tmp_path / "serial" / summary).read_bytes())
+def test_each_file_bench_writes_is_what_pipeline_fit_reports(tmp_path, capsys):
+    assert cli.main(["bench", "--knots", "4", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
     for name in cli.BENCH_ORDER:
         rep = pipeline.fit(pipeline.FitConfig(function=name, knots=4))
-        stem = tmp_path / "pool" / rep.stem()
+        stem = tmp_path / rep.stem()
         assert stem.with_suffix(".csv").read_text() == rep.csv_text()
         written = json.loads(stem.with_suffix(".json").read_text())
         expected = json.loads(rep.json_text())
@@ -248,11 +220,9 @@ def test_bench_worker_pool_changes_no_output_byte(tmp_path, monkeypatch, capsys)
         assert written == expected
 
 
-def test_bench_worker_pool_reports_each_failed_fit_in_order(tmp_path, monkeypatch, capsys):
-    # cond(S) is about 2.5e18 at K=64, so every worker raises before optimizing
-    pools = _force_cores(monkeypatch, 2)
+def test_bench_reports_each_failed_fit_in_order(tmp_path, capsys):
+    # cond(S) is about 2.5e18 at K=64, so every fit raises before optimizing
     assert cli.main(["bench", "--knots", "64", "--out", str(tmp_path)]) == 2
-    assert pools == [(2, "fork")]
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == [f"{name}: fit failed: system matrix is singular"

@@ -1,11 +1,12 @@
 """Readout tests: overlaps, estimate recovery, and the per-row circuit reference."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qspline import oracle, readout, sim
+from qspline import oracle, pipeline, readout, sim, vqls
 from qspline.bspline import build_system
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
 
@@ -147,3 +148,25 @@ def test_imaginary_states_are_rejected():
         with pytest.raises(ValueError, match="imaginary residue"):
             readout.recover_estimates(np.eye(2), complex_state, [1.0, 0.0],
                                       mode=mode, shots=100)
+
+
+@pytest.mark.parametrize("knots", [8, 16])
+@pytest.mark.parametrize("function", sorted(TARGETS))
+def test_pipeline_shots_readout_noise_stays_on_the_rows_of_s(monkeypatch, function, knots):
+    # The solve is made exact, so only the readout's shot noise is left.
+    # Row k of S then errs by about |S_k| |S^-1 y| / sqrt(shots) in unit-y
+    # terms.  Read out on the rows of S D instead, the errors of sigmoid
+    # (both sizes), elu and relu at K = 16 exceed twice that.
+    solve = vqls.solve
+    monkeypatch.setattr(vqls, "solve", lambda matrix, y, config, ansatz: solve(
+        matrix, y, dataclasses.replace(config, mode="exact"), ansatz))
+    shots = 10_000
+    rep = pipeline.fit(pipeline.FitConfig(function=function, knots=knots,
+                                          mode="shots", shots=shots))
+    y = np.asarray(rep.y_target)
+    norm = float(np.linalg.norm(y))
+    matrix = build_system(knots)[0].entries
+    row_rms = math.sqrt(float(np.mean(np.sum(matrix**2, axis=1))))
+    bound = row_rms * float(np.linalg.norm(np.linalg.solve(matrix, y / norm))) / math.sqrt(shots)
+    error = math.sqrt(float(np.mean((np.asarray(rep.y_estimate) - y) ** 2))) / norm
+    assert error <= 2.0 * bound

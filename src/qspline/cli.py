@@ -71,8 +71,8 @@ def build_parser() -> _Parser:
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--ansatz", choices=_CHOICES["ansatz"], default=None)
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                       help="BFGS iteration cap of every restart; it does not "
-                       "cap cost evaluations")
+                       help="cap on the Jacobians (exact mode) or BFGS iterations "
+                       "(shots mode) of every restart; it does not cap cost evaluations")
         p.add_argument("--svg", action="store_const", const=True, default=None,
                        help="also write an SVG plot")
         p.add_argument("--classical-only", action="store_const", const=True,

@@ -129,8 +129,8 @@ def fit(config: FitConfig) -> FitReport:
             "n_params": ansatz_cfg.n_params,
         },
         optimizer={
-            "name": "bfgs",
-            # exact mode takes its gradient from the adjoint sweep
+            "name": "bfgs" if config.mode == "shots" else "levenberg-marquardt",
+            # exact mode takes analytic Jacobians
             "fd_step": vqls.FD_STEP if config.mode == "shots" else None,
             "max_iter": solve_cfg.max_iter,
             "restarts": solve_cfg.restarts,

@@ -8,14 +8,15 @@ bidiagonal spline matrix is solved directly.
 Exact mode evaluates the cost straight from matrix algebra, as
 ``C = |r|^2 / d`` with ``d = psi . psi`` and the residual
 ``r = psi - (Y . psi) Y``: the same number without the cancellation of
-``1 - ...`` near a solution.  Its gradient is one adjoint sweep
-(Jones & Gacon, 2020): dC/dv = S^T (2/d)(r - C psi) pulled back through the
-trial circuit in reverse, over the forward pass that built the state.  On
-the rotation tree both are whole-array passes: the forward pass gathers one
-cosine or sine per level and leaf and takes their running product down the
-levels, and the sweep multiplies each level's prefix by the running product
-of the levels below it and sums the result into the angles with one
-bincount.
+``1 - ...`` near a solution.  That makes C = f . f for f = r / sqrt(d), a
+least-squares cost whose minimum is 0, so each restart runs
+Levenberg-Marquardt steps (Levenberg, 1944; Marquardt, 1963) built from
+the Jacobian of f, which follows from the trial state's Jacobian J_v.  On
+the rotation tree the forward pass gathers one cosine or sine per level
+and leaf and takes their running product down the levels, and J_v is each
+level's prefix times its factor's derivative times the running product of
+the levels below, filled in with one fancy assignment; on the brick wall
+J_v is carried forward through the circuit beside the state.
 Shots mode assembles the cost from the overlaps that Hadamard tests over
 pairs of terms of an LCU decomposition of S estimate: the term states
 A_l V|0>, each Pauli string a signed gather of V|0>, give every pair in
@@ -23,12 +24,12 @@ one Gram product, and one
 :func:`sim.sample_overlap` call adds the shot noise of every test of the
 evaluation from one seeded generator.  The noise is frozen per restart so a
 run is reproducible and the optimizer sees a fixed landscape; its gradient is
-a central difference, taken one coordinate at a time.  Each restart runs
-one BFGS loop over a point function of its mode, which returns the cost at
-theta and a thunk for the gradient there.  V(theta) is a
-rotation tree or a brick wall of CZ and Ry layers at a depth fixed by the
-qubit count; :func:`ansatz_ops` lists its gates, which the tests run against
-the shots cost.
+a central difference, taken one coordinate at a time, and each restart
+runs one BFGS loop.  Both loops take a point function of their mode, which
+returns the cost at theta and a thunk for the Jacobian or gradient there.
+V(theta) is a rotation tree or a brick wall of CZ and Ry layers at a depth
+fixed by the qubit count; :func:`ansatz_ops` lists its gates, which the
+tests run against the shots cost.
 """
 
 from __future__ import annotations
@@ -61,12 +62,15 @@ ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... i
 # 2n - 3 fits up to n = 5 only.  Six qubits (K = 64) is the CLI's ceiling.
 _FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
 
-# settings of the optimizer loop, in both modes
-MAX_ITER = 10_000  # default cap on the BFGS iterations of one restart
+# settings of the optimizer loops: Levenberg-Marquardt in exact mode, BFGS in shots mode
+MAX_ITER = 10_000  # default cap on the Jacobians or BFGS iterations of one restart
 FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
 STOP_COST = 1e-8  # good enough to skip the remaining restarts
 SUCCESS_COST = 1e-3  # below this the solve counts as converged
 STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
+DAMPING_START = 1e-3  # Levenberg-Marquardt damping of a restart's first step
+DAMPING_UP, DAMPING_DOWN = 4.0, 3.0  # its factors after a rejected and an accepted trial
+DAMPING_FLOOR, DAMPING_CEILING = 1e-15, 1e16  # its least value, and where descent is lost
 SINGULAR_COND = 1e12  # a system of larger condition number counts as singular
 
 
@@ -171,7 +175,7 @@ def _tree_index(n_qubits: int) -> np.ndarray:
     return index
 
 
-_ONE = np.ones(1)
+_ONE, _ZERO = np.ones(1), np.zeros(1)
 
 
 def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
@@ -244,55 +248,52 @@ def _exact_cost(matrix: np.ndarray, y: np.ndarray, v: np.ndarray) -> tuple:
     return cost, psi, residual, denom
 
 
-def _adjoint_sweep(matrix: np.ndarray, config: AnsatzConfig, forward: tuple,
-                   terms: tuple) -> np.ndarray:
-    """Gradient of the exact cost in one backward sweep over the forward pass
-    ``forward`` of :func:`_forward`, whose state has the cost terms ``terms``
-    of :func:`_exact_cost`.
+def _state_jacobian(config: AnsatzConfig, forward: tuple) -> np.ndarray:
+    """Jacobian dv/dtheta of the trial state, as a ``(2^n, P)`` array, from
+    the forward pass ``forward`` of :func:`_forward`.
 
-    The sweep starts from g = dC/dv = S^T (2/d)(r - C psi) and pulls it back
-    through the circuit in reverse.  In the tree, each leaf amplitude is a
-    product of one factor per level, cos(t/2) or sin(t/2) of the angle on
-    its path, so at level l it contributes (prefix above l) x (product of
-    the factors below l) x g to the sum u_L or u_R of its angle's cosine or
-    sine branch; the products below come from one running product up the
-    levels, seeded with g, and one bincount sums each branch.  Then
-    dC/dt = (cos(t/2) u_R - sin(t/2) u_L) / 2.
+    In the tree, each leaf amplitude is a product of one factor per level,
+    cos(t/2) or sin(t/2) of the angle on its path, so its derivative in the
+    angle of level l is (prefix above l) x (derivative of the level's
+    factor, -sin(t/2)/2 or cos(t/2)/2) x (product of the factors below l).
+    The products below come from one running product up the levels, and as
+    each (leaf, level) pair names a distinct angle, one fancy assignment
+    fills the matrix.
     In the brick wall, a rotation's derivative is half the pair rotation
-    J = [[0, -1], [1, 0]] applied after it, so dC/dt = (lam . J psi) / 2 for
-    the state psi and cotangent lam right after that gate; both are then
-    rotated back by -t, and a CZ layer's sign mask undoes itself.
+    [[0, -1], [1, 0]] applied after it, so forward mode carries the state
+    and one tangent per angle through the circuit: after rotation j the
+    tangent of angle j starts as that half pair rotation of the state, and
+    every later gate acts on the state and the tangents so far alike.
     """
-    cost, psi, residual, denom = terms
-    n = config.n_qubits
-    g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
+    n, n_params = config.n_qubits, config.n_params
+    dim = 1 << n
     if config.kind == "tree":
         trig, factors, amps = forward
-        # row k: g times the factors of the k deepest levels, so reversed,
-        # row l is g times the factors below level l
-        below = np.concatenate((g[None], factors[:1:-1]))
-        np.multiply.accumulate(below, axis=0, out=below)
-        # summed into the bins of trig: u_L at each cosine, u_R at each sine
-        sums = np.bincount(_tree_index(n)[1:].ravel(), (amps[:-1] * below[::-1]).ravel(),
-                           minlength=trig.size)
-        split = config.n_params + 1
-        return (trig[1:split] * sums[split:] - trig[split:] * sums[1:split]) / 2.0
+        index = _tree_index(n)[1:]
+        split = n_params + 1
+        # [0 | -sin/2 | cos/2]: each factor's derivative in its own angle
+        slopes = np.concatenate((_ZERO, trig[split:] / -2.0, trig[1:split] / 2.0))
+        # row l: the product of the factors of the levels below l
+        below = np.concatenate((np.multiply.accumulate(factors[:1:-1], axis=0)[::-1],
+                                np.ones((1, dim))))
+        jacobian = np.zeros((dim, n_params))
+        # index - 1 is angle + P x branch, so the angle is its remainder mod P
+        jacobian[np.arange(dim), (index - 1) % n_params] = amps[:-1] * slopes[index] * below
+        return jacobian
 
-    cos, sin, amps = forward
-    grad = np.empty(config.n_params)
-    pair = np.stack([amps[-1], g])  # the state and its cotangent, rotated back together
-    pos = config.n_params
-    for layer in range(config.layers, -1, -1):
-        pos -= n
-        for q in range(n - 1, -1, -1):
-            view = pair.reshape(-1, 2, 1 << q)  # state blocks, then cotangent blocks
-            state, lam = view[: len(view) // 2], view[len(view) // 2 :]
-            grad[pos + q] = (np.sum(lam[:, 1] * state[:, 0])
-                             - np.sum(lam[:, 0] * state[:, 1])) / 2.0
-            _rotate(pair, q, cos[pos + q], -sin[pos + q])  # Ry(-t)
-        if layer:
-            pair *= _cz_mask(n, (layer - 1) % 2)
-    return grad
+    cos, sin, _ = forward
+    stack = np.zeros((n_params + 1, dim))  # the state, then one tangent per angle
+    stack[0, 0] = 1.0
+    for j in range(n_params):
+        layer, q = divmod(j, n)
+        if layer and not q:
+            stack[:j + 1] *= _cz_mask(n, (layer - 1) % 2)
+        _rotate(stack[:j + 1], q, cos[j], sin[j])
+        state = stack[0].reshape(-1, 2, 1 << q)
+        tangent = stack[j + 1].reshape(-1, 2, 1 << q)
+        tangent[:, 0] = state[:, 1] / -2.0
+        tangent[:, 1] = state[:, 0] / 2.0
+    return stack[1:].T
 
 
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
@@ -391,12 +392,15 @@ class VqlsSolution:
 
     ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
     "stop_reason"}`` record per restart run, in order.  ``cost_rows`` is
-    the number of points the BFGS loop took plus, for each gradient, one row
-    in exact mode (an adjoint sweep over its point's forward pass) or the 2P
-    probe rows of a central difference in shots mode.  ``gradients`` counts
-    the gradients.  ``stop_reason`` is why the restart's BFGS loop stopped:
-    ``"stop cost"`` (it ended at or below ``STOP_COST``), ``"no descent"``
-    (a zero gradient, or no step size lowered the cost) or ``"max_iter"``.
+    the number of points the restart's loop took plus, for each gradient,
+    one row in exact mode (a Jacobian at an accepted point) or the 2P probe
+    rows of a central difference in shots mode.  ``gradients`` counts the
+    Jacobians of the Levenberg-Marquardt loop in exact mode and the
+    gradients of the BFGS loop in shots mode.  ``stop_reason`` is why the
+    loop stopped: ``"stop cost"`` (it ended at or below ``STOP_COST``),
+    ``"no descent"`` (no step lowered the cost: in exact mode a trial
+    rounded back to theta or the damping passed ``DAMPING_CEILING``; in
+    shots mode a zero gradient, or no step size) or ``"max_iter"``.
     ``evaluations`` sums the two counts over every restart, and
     ``cost_trace`` is the best restart's.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
@@ -414,14 +418,28 @@ class VqlsSolution:
     restarts: tuple
 
 
-def _exact_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
-    """Point function of the exact cost: a point is one forward pass, and its
-    gradient thunk one adjoint sweep over that pass."""
+def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
+    """Point function of the exact cost C = f . f, f = r / sqrt(d): a point
+    is one forward pass, and its thunk returns f and the Jacobian of f there.
+
+    With psi = S v and J_v the state's Jacobian, psi moves along S J_v, the
+    residual along P S J_v for the projector P = I - y y^T, and sqrt(d)
+    along psi^T S J_v / sqrt(d), so
+    J_f = (P S J_v - r (psi^T S J_v) / d) / sqrt(d).
+    """
 
     def point(theta: np.ndarray) -> tuple:
         forward = _forward(config, theta)
-        terms = _exact_cost(matrix, y, forward[2][-1])
-        return terms[0], lambda: _adjoint_sweep(matrix, config, forward, terms)
+        cost, psi, residual, denom = _exact_cost(matrix, y, forward[2][-1])
+
+        def jacobian() -> tuple:
+            moves = matrix @ _state_jacobian(config, forward)
+            projected = moves - np.outer(y, y @ moves)
+            scale = math.sqrt(denom)
+            return (residual / scale,
+                    (projected - np.outer(residual, (psi @ moves) / denom)) / scale)
+
+        return cost, jacobian
 
     return point
 
@@ -515,6 +533,54 @@ def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
     return theta, cost, trace, "max_iter", points, gradients
 
 
+def _levenberg_marquardt(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
+    """Damped Gauss-Newton descent on a cost C = f . f of residual f.
+
+    Each iteration takes the Jacobian J of f at theta and tries the step
+    d solving (J^T J + lam I) d = -J^T f; it accepts the first trial that
+    strictly lowers the cost, so the recorded trace strictly decreases.
+    The damping lam starts at ``DAMPING_START``, grows by ``DAMPING_UP``
+    after each rejected trial (a singular system counts as one) and shrinks
+    by ``DAMPING_DOWN`` after each accepted step, to no less than
+    ``DAMPING_FLOOR``.  ``point(x)`` returns the cost at x and a thunk for
+    ``(f, J)`` there, which runs for the start and for every accepted step,
+    so a rejected trial builds only its state.  Returns the end point, its
+    cost, the trace, why the loop stopped (``"no descent"``: a trial rounds
+    back to theta, or lam passes ``DAMPING_CEILING``; or ``"max_iter"``,
+    after ``max_iter`` Jacobians) and the numbers of points and of
+    Jacobians taken.
+    """
+    theta = theta0.astype(float).copy()
+    cost, jacobian = point(theta)
+    points, jacobians = 1, 0
+    trace = [cost]
+    damping, identity = DAMPING_START, np.eye(theta.size)
+    while jacobians < max_iter:
+        residual, jac = jacobian()
+        jacobians += 1
+        grad, normal = jac.T @ residual, jac.T @ jac
+        while True:
+            try:
+                step = np.linalg.solve(normal + damping * identity, -grad)
+            except np.linalg.LinAlgError:
+                new_cost = math.inf
+            else:
+                candidate = theta + step
+                if candidate.tobytes() == theta.tobytes():
+                    return theta, cost, trace, "no descent", points, jacobians
+                new_cost, new_jacobian = point(candidate)
+                points += 1
+            if new_cost < cost:
+                break
+            damping *= DAMPING_UP
+            if damping > DAMPING_CEILING:
+                return theta, cost, trace, "no descent", points, jacobians
+        damping = max(damping / DAMPING_DOWN, DAMPING_FLOOR)
+        theta, cost, jacobian = candidate, new_cost, new_jacobian
+        trace.append(cost)
+    return theta, cost, trace, "max_iter", points, jacobians
+
+
 def solve(
     system,
     y,
@@ -549,9 +615,11 @@ def solve(
         raise ValueError(f"target has length {y_vec.size}, system is {dim}x{dim}")
 
     if cfg.mode == "exact":
-        point, gradient_rows = _exact_point(matrix, y_vec, ans), 1
+        descend, gradient_rows = _levenberg_marquardt, 1
+        point = _residual_point(matrix, y_vec, ans)
     else:
-        lcu, gradient_rows = _lcu_arrays(matrix), 2 * ans.n_params
+        descend, gradient_rows = _bfgs, 2 * ans.n_params
+        lcu = _lcu_arrays(matrix)
 
     best = None
     records = []
@@ -560,7 +628,7 @@ def solve(
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
         if cfg.mode == "shots":
             point = _shots_point(lcu, y_vec, ans, cfg.shots, int(rng.integers(0, 2**31 - 1)))
-        theta, cost, trace, reason, points, gradients = _bfgs(point, theta0, cfg.max_iter)
+        theta, cost, trace, reason, points, gradients = descend(point, theta0, cfg.max_iter)
         if cost <= STOP_COST:
             reason = "stop cost"
         records.append({"final_cost": float(cost),

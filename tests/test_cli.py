@@ -97,6 +97,7 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
     assert first["evaluations"] == {"cost_rows": 14, "gradients": 2}
     assert again["evaluations"] == first["evaluations"]
     assert first["optimizer"]["fd_step"] == vqls.FD_STEP  # shots mode keeps central differences
+    assert first["optimizer"]["name"] == "bfgs"
     system, _ = pipeline.build_system(4)
     assert first["condition_number"] == float(np.linalg.cond(system.entries))
     # the solver sees the equilibrated system R S D
@@ -113,7 +114,7 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
 
 
 def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
-    # one BFGS iteration keeps every restart above STOP_COST, so all five run
+    # one Jacobian keeps every restart above STOP_COST, so all five run
     flags = ["fit", "--function", "elu", "--knots", "8", "--max-iter", "1"]
     payloads = []
     for run in ("a", "b"):
@@ -125,12 +126,15 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
     for key in ("cost_rows", "gradients"):
         assert sum(r[key] for r in restarts) == first["evaluations"][key]
     assert first["final_cost"] == min(r["final_cost"] for r in restarts)
-    # one BFGS iteration per restart: each restart ran out of them
+    # one Jacobian per restart, counted under gradients: each restart ran out
+    # of them
     assert [r["stop_reason"] for r in restarts] == ["max_iter"] * 5
+    assert [r["gradients"] for r in restarts] == [1] * 5
     trace = first["cost_trace"]
     assert trace[-1] == first["final_cost"]
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert first["optimizer"]["fd_step"] is None  # the exact gradient is an adjoint sweep
+    assert first["optimizer"]["fd_step"] is None  # exact mode takes analytic Jacobians
+    assert first["optimizer"]["name"] == "levenberg-marquardt"
     assert again["restarts"] == restarts
     assert set(first["timings"]) == {"solve_s", "readout_s", "classical_s"}
     assert all(seconds >= 0.0 for seconds in first["timings"].values())
@@ -153,7 +157,7 @@ def test_restarts_record_why_each_one_stopped(tmp_path):
 
 def test_bench_reports_each_unconverged_fit_and_exits_2(tmp_path, capsys):
     # at K=2 every target normalizes to (0, 1), and one restart of one
-    # BFGS iteration ends each fit at cost 0.33, above SUCCESS_COST
+    # Jacobian ends each fit at cost 0.083, above SUCCESS_COST
     rc = cli.main(["bench", "--knots", "2", "--max-iter", "1", "--restarts", "1",
                    "--out", str(tmp_path)])
     assert rc == 2

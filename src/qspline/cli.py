@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import oracle, pipeline, svg
+from . import oracle, pipeline, svg, vqls
 from .bspline import build_system
 from .decomp import decompose_block, pauli_decompose, reconstruct
 from .functions import TARGETS
@@ -46,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
 # fit is asked for with --classical-only, so "classical" is not a mode here
 _CHOICES = {
     "function": tuple(sorted(TARGETS)),
-    "mode": ("exact", "shots"),
-    "ansatz": ("tree", "layered"),
+    "mode": vqls.MODES,
+    "ansatz": vqls.KINDS,
 }
 
 
@@ -102,6 +102,7 @@ def build_parser() -> _Parser:
 # ----------------------------------------------------------------------------
 
 _FIT_FIELDS = dataclasses.fields(pipeline.FitConfig)
+_INT_KEYS = {f.name for f in _FIT_FIELDS if f.type == "int"}
 
 # fit settings default as in pipeline.FitConfig, but the CLI asks for --function
 _DEFAULTS = {
@@ -133,7 +134,7 @@ def _read_config(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    if key in ("knots", "shots", "restarts", "max_iter", "seed"):
+    if key in _INT_KEYS:
         try:
             return int(raw)
         except ValueError as exc:

@@ -18,8 +18,8 @@ overlap is real and one real-part Hadamard test per pair estimates it.
 Every term is a signed permutation, ``X^x Z^z |j> = (-1)**popcount(j & z)
 |j ^ x>``, and its global factor ``i**(phase + #Y)`` is +-1, so
 :func:`signed_permutations` gives each term as an index map and a sign
-vector: :meth:`LcuTerm.matrix` and :func:`reconstruct` scatter those, and
-the shots cost gathers with them.
+vector: :func:`reconstruct` scatters those into a real matrix, and the
+shots cost gathers with them.
 """
 
 from __future__ import annotations
@@ -83,14 +83,6 @@ class LcuTerm:
         """The global factor ``i**(phase + #Y)``, real because the exponent is
         even: the unitary is ``sign * X^x Z^z``."""
         return -1.0 if (self.phase + self.paulis.count("Y")) % 4 else 1.0
-
-    def matrix(self) -> np.ndarray:
-        """Dense unitary of the term (without the coefficient)."""
-        cols, signs = signed_permutations((self,), self.n_qubits)
-        dim = cols.shape[1]
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.arange(dim), cols[0]] = signs[0]
-        return m
 
     def ops(self) -> tuple:
         """Gate sequence realizing the unitary; the i is folded into one Y."""
@@ -160,8 +152,7 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     out in ``product("IXYZ")`` order, qubit n-1 leftmost in the label.
 
     Raises if the matrix is not real, not square, or not of power-of-two
-    size, and double-checks that the retained terms rebuild the input with
-    negligible imaginary residue.
+    size, and double-checks that the retained terms rebuild the input.
     """
     m = np.asarray(matrix)
     if np.iscomplexobj(m):
@@ -197,10 +188,7 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
         terms.append(LcuTerm(float(coefficients[k]), s[::-1], ("i*" if n_y[k] % 2 else "") + s))
     decomp = LcuDecomposition(terms=tuple(terms), n_qubits=n)
 
-    residue = reconstruct(decomp)
-    if np.max(np.abs(residue.imag)) > 1e-12:
-        raise ValueError("reconstruction has imaginary residue; input was not real")
-    if np.max(np.abs(residue.real - m)) > 1e-10:
+    if np.max(np.abs(reconstruct(decomp) - m)) > 1e-10:
         raise ValueError("reconstruction drifted from the input matrix")
     return decomp
 
@@ -221,12 +209,12 @@ def signed_permutations(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reconstruct(decomp: LcuDecomposition) -> np.ndarray:
-    """Dense sum of coefficient * unitary over all terms, in term order; the
-    terms are real, so only the real part of the complex result accumulates."""
+    """Dense sum of coefficient * unitary over all terms, in term order, as a
+    real matrix: every term is real."""
     dim = 1 << decomp.n_qubits
     cols, entries = signed_permutations(decomp.terms, decomp.n_qubits)
     entries *= decomp.coefficients()[:, None]
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim))
     rows = np.broadcast_to(np.arange(dim), cols.shape)
-    np.add.at(out.real, (rows, cols), entries)
+    np.add.at(out, (rows, cols), entries)
     return out

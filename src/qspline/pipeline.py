@@ -30,20 +30,23 @@ QSPLINES_BASELINE = {"elu": 0.4874, "relu": 0.5240, "sigmoid": 0.1589, "sin": No
 BASELINE_KNOTS = 20
 
 _ALLOWED_KNOTS = (2, 4, 8, 16, 32, 64)
-_MAX_SHOTS = 2**63 - 1  # numpy's binomial sampler takes an int64 count
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Everything a single fit run needs, and the one place it gets defaults."""
+    """Everything a single fit run needs, and the one place it gets defaults.
+
+    ``mode`` is one of ``vqls.MODES`` or ``"classical"``; in every mode the
+    solver checks its own settings, as :meth:`solver` builds its configs.
+    """
 
     function: str
     knots: int = 16
-    mode: str = vqls.SolveConfig.mode  # "exact" | "shots" | "classical"
+    mode: str = vqls.SolveConfig.mode
     shots: int = vqls.SolveConfig.shots
     restarts: int = vqls.SolveConfig.restarts
     seed: int = vqls.SolveConfig.seed
-    ansatz: str = vqls.AnsatzConfig.kind  # "tree" | "layered"
+    ansatz: str = vqls.AnsatzConfig.kind
     max_iter: int = vqls.SolveConfig.max_iter
 
     def __post_init__(self):
@@ -53,18 +56,17 @@ class FitConfig:
             )
         if self.knots not in _ALLOWED_KNOTS:
             raise ValueError(f"knots must be one of {_ALLOWED_KNOTS}, got {self.knots}")
-        if self.mode not in ("exact", "shots", "classical"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not 1 <= self.shots <= _MAX_SHOTS:
-            raise ValueError(f"shots must be between 1 and {_MAX_SHOTS}, got {self.shots}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.ansatz not in ("tree", "layered"):
-            raise ValueError(f"unknown ansatz {self.ansatz!r}; pick tree or layered")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        self.solver()
+
+    def solver(self) -> tuple[vqls.SolveConfig, vqls.AnsatzConfig]:
+        """This fit's solve and ansatz configs; a classical fit's takes the
+        solver's default mode."""
+        mode = vqls.SolveConfig.mode if self.mode == "classical" else self.mode
+        return (vqls.SolveConfig(mode=mode, shots=self.shots, max_iter=self.max_iter,
+                                 restarts=self.restarts, seed=self.seed),
+                vqls.AnsatzConfig(n_qubits=self.knots.bit_length() - 1, kind=self.ansatz))
 
 
 def fit(config: FitConfig) -> FitReport:
@@ -82,15 +84,7 @@ def fit(config: FitConfig) -> FitReport:
     if condition_number > vqls.SINGULAR_COND:
         raise ValueError("system matrix is singular")
     r, c = bidiagonal_scaling(matrix)
-
-    solve_cfg = vqls.SolveConfig(
-        mode=config.mode,
-        shots=config.shots,
-        max_iter=config.max_iter,
-        restarts=config.restarts,
-        seed=config.seed,
-    )
-    ansatz_cfg = vqls.AnsatzConfig(n_qubits=config.knots.bit_length() - 1, kind=config.ansatz)
+    solve_cfg, ansatz_cfg = config.solver()
 
     started = time.perf_counter()
     solution = vqls.solve(r[:, None] * matrix * c, r * y01, solve_cfg, ansatz_cfg)
@@ -121,22 +115,10 @@ def fit(config: FitConfig) -> FitReport:
         classical,
         mode=config.mode,
         shots=config.shots if config.mode == "shots" else None,
-        ansatz={
-            "kind": ansatz_cfg.kind,
-            "n_qubits": ansatz_cfg.n_qubits,
-            "layers": ansatz_cfg.layers,
-            "entangler": vqls.ENTANGLER if ansatz_cfg.kind == "layered" else None,
-            "n_params": ansatz_cfg.n_params,
-        },
-        optimizer={
-            "name": "bfgs" if config.mode == "shots" else "levenberg-marquardt",
-            # exact mode takes analytic Jacobians
-            "fd_step": vqls.FD_STEP if config.mode == "shots" else None,
-            "max_iter": solve_cfg.max_iter,
-            "restarts": solve_cfg.restarts,
-        },
+        ansatz=ansatz_cfg.record(),
+        optimizer=dict(solution.optimizer),
         seed=config.seed,
-        rng="numpy default_rng; restart i seeded by SeedSequence((seed, i))",
+        rng=vqls.SEEDING,
         y_estimate=[float(v) for v in y_estimate],
         nrmse=float(nrmse(y_estimate, y01)),
         final_cost=solution.final_cost,

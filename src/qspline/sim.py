@@ -52,8 +52,11 @@ __all__ = [
     "controlled_ops",
     "hadamard_test",
     "sample_overlap",
+    "check_shots",
+    "MAX_SHOTS",
 ]
 
+MAX_SHOTS = 2**63 - 1  # numpy's binomial sampler takes an int64 count
 _UNITARY_TOL = 1e-12
 _NORM_TOL = 1e-10
 
@@ -389,14 +392,20 @@ def sample_overlap(overlaps, shots: int, seed: int | None = None) -> np.ndarray:
     this draws ``shots`` readings per overlap from one seeded generator in
     one ``binomial`` call, without building any circuit.  Element 0 is the
     draw :func:`hadamard_test` makes with the same seed; element i is the
-    i-th draw of that generator.
+    i-th draw of that generator.  ``shots`` must pass :func:`check_shots`.
     """
     p1 = np.clip((1.0 - np.asarray(overlaps, dtype=float)) / 2.0, 0.0, 1.0)
     return _draw(p1, shots, seed)
 
 
+def check_shots(shots: int) -> None:
+    """Reject any shot count but an integer in [1, ``MAX_SHOTS``]."""
+    if not isinstance(shots, (int, np.integer)) or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be a positive shot count of at most {MAX_SHOTS}, "
+                         f"got {shots!r}")
+
+
 def _draw(p1, shots: int, seed: int | None):
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    check_shots(shots)
     n1 = np.random.default_rng(seed).binomial(shots, p1)
     return (shots - 2 * n1) / shots

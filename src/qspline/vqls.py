@@ -30,6 +30,9 @@ returns the cost at theta and a thunk for the Jacobian or gradient there.
 V(theta) is a rotation tree or a brick wall of CZ and Ry layers at a depth
 fixed by the qubit count; :func:`ansatz_ops` lists its gates, which the
 tests run against the shots cost.
+The solver checks its own settings (:class:`SolveConfig`, :class:`AnsatzConfig`)
+and says what it ran: ``VqlsSolution.optimizer``, :meth:`AnsatzConfig.record`
+and ``SEEDING``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "solve",
 ]
 
+MODES = ("exact", "shots")  # the cost from matrix algebra, or sampled from Hadamard tests
+KINDS = ("tree", "layered")  # the trial-state circuits of AnsatzConfig
 ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... in turn
 
 # Smallest brick-wall depth at which theta -> V(theta)|0> has Jacobian rank
@@ -72,6 +77,7 @@ DAMPING_START = 1e-3  # Levenberg-Marquardt damping of a restart's first step
 DAMPING_UP, DAMPING_DOWN = 4.0, 3.0  # its factors after a rejected and an accepted trial
 DAMPING_FLOOR, DAMPING_CEILING = 1e-15, 1e16  # its least value, and where descent is lost
 SINGULAR_COND = 1e12  # a system of larger condition number counts as singular
+SEEDING = "numpy default_rng; restart i seeded by SeedSequence((seed, i))"
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,13 @@ class AnsatzConfig:
     """
 
     n_qubits: int
-    kind: str = "tree"  # "tree" | "layered"
+    kind: str = "tree"  # one of KINDS
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.kind not in ("layered", "tree"):
-            raise ValueError(f"unknown ansatz kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown ansatz kind {self.kind!r}; pick one of {', '.join(KINDS)}")
         if self.kind == "layered" and self.n_qubits not in _FULL_RANK_LAYERS:
             raise ValueError(f"layered ansatz spans at most {max(_FULL_RANK_LAYERS)} qubits")
 
@@ -108,6 +114,12 @@ class AnsatzConfig:
         if self.kind == "tree":
             return sim.tree_angle_count(self.n_qubits)
         return self.n_qubits * (self.layers + 1)
+
+    def record(self) -> dict:
+        """The circuit's shape, as a fit report records it."""
+        return {"kind": self.kind, "n_qubits": self.n_qubits, "layers": self.layers,
+                "entangler": ENTANGLER if self.kind == "layered" else None,
+                "n_params": self.n_params}
 
 
 def _entangler_pairs(n_qubits: int, layer: int) -> tuple:
@@ -356,8 +368,6 @@ def cost_global(
     if mode == "exact":
         return _exact_cost(as_matrix(system), y, ansatz_state_vector(config, theta))[0]
     if mode == "shots":
-        if not shots or shots < 1:
-            raise ValueError("shots mode needs a positive shot count")
         v = ansatz_state_vector(config, theta)
         return _shots_cost(_lcu_arrays(as_matrix(system)), y, v, shots, seed)
     raise ValueError(f"unknown mode {mode!r}")
@@ -369,21 +379,23 @@ def cost_global(
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Sampling, iteration and restart settings for :func:`solve`."""
+    """Sampling, iteration and restart settings for :func:`solve`; the shot
+    count is checked in either mode."""
 
-    mode: str = "exact"  # "exact" | "shots"
+    mode: str = "exact"  # one of MODES
     shots: int = 10_000
     max_iter: int = MAX_ITER
     restarts: int = 5
     seed: int = 42
 
     def __post_init__(self):
-        if self.mode not in ("exact", "shots"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; pick one of {', '.join(MODES)}")
+        sim.check_shots(self.shots)
         if self.restarts < 1:
-            raise ValueError("need at least one restart")
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +416,9 @@ class VqlsSolution:
     ``evaluations`` sums the two counts over every restart, and
     ``cost_trace`` is the best restart's.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
-    its singularity check.
+    its singularity check.  ``optimizer`` is the loop that ran, ``{"name",
+    "fd_step", "max_iter", "restarts"}``: ``"levenberg-marquardt"`` with no
+    ``fd_step`` (exact mode takes analytic Jacobians), or ``"bfgs"`` with ``FD_STEP``.
     """
 
     theta: np.ndarray
@@ -416,6 +430,7 @@ class VqlsSolution:
     evaluations: dict
     condition_number: float
     restarts: tuple
+    optimizer: dict
 
 
 def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
@@ -616,9 +631,11 @@ def solve(
 
     if cfg.mode == "exact":
         descend, gradient_rows = _levenberg_marquardt, 1
+        optimizer = {"name": "levenberg-marquardt", "fd_step": None}
         point = _residual_point(matrix, y_vec, ans)
     else:
         descend, gradient_rows = _bfgs, 2 * ans.n_params
+        optimizer = {"name": "bfgs", "fd_step": FD_STEP}
         lcu = _lcu_arrays(matrix)
 
     best = None
@@ -650,4 +667,5 @@ def solve(
         evaluations={key: sum(r[key] for r in records) for key in ("cost_rows", "gradients")},
         condition_number=condition_number,
         restarts=tuple(records),
+        optimizer={**optimizer, "max_iter": cfg.max_iter, "restarts": cfg.restarts},
     )

@@ -329,6 +329,7 @@ def test_bad_knot_count_is_a_usage_error(tmp_path):
         ["--ansatz", "layered", "--layers", "2"],  # the depth follows from K
         ["--mode", "shots", "--shots", str(2**64)],  # beyond the sampler's C long
         ["--degree", "1"],  # every spline is degree 1
+        ["--classical-only", "--restarts", "0"],  # checked even when no solve runs
     ],
 )
 def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):

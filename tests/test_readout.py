@@ -135,7 +135,7 @@ def test_recovery_validates_inputs():
         readout.recover_estimates(np.ones((2, 2)), null_state, [1.0, 0.0])
     with pytest.raises(ValueError, match="unknown mode"):
         readout.recover_estimates(system, state, y_unit, mode="approximate")
-    for shots in (None, 0, -5):
+    for shots in (None, 0, -5, 2**63):
         with pytest.raises(ValueError, match="positive shot count"):
             readout.recover_estimates(system, state, y_unit, mode="shots", shots=shots)
 

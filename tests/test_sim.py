@@ -185,16 +185,17 @@ def test_sample_overlap_makes_the_hadamard_test_draw(n_qubits):
 
 
 def test_sample_overlap_rejects_bad_shot_counts():
-    for shots in (0, -3):
+    for shots in (0, -3, 2**63, 2.5):
         with pytest.raises(ValueError):
             sim.sample_overlap(0.5, shots, 1)
 
 
 def test_sample_overlap_takes_the_largest_shot_count():
     # 2 * n1 wraps in int64 there, and the difference wraps back exactly
-    drawn = sim.sample_overlap([-1.0, 1.0, 0.5], 2**63 - 1, 3)
-    assert drawn[:2].tolist() == [-1.0, 1.0]
-    assert abs(drawn[2] - 0.5) < 1e-6
+    for shots in (2**63 - 1, np.int64(2**63 - 1)):
+        drawn = sim.sample_overlap([-1.0, 1.0, 0.5], shots, 3)
+        assert drawn[:2].tolist() == [-1.0, 1.0]
+        assert abs(drawn[2] - 0.5) < 1e-6
 
 
 def test_hadamard_test_validates_qubit_range():

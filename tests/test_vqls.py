@@ -42,6 +42,9 @@ def test_config_validation():
     assert vqls.AnsatzConfig(n_qubits=7).n_params == 127
     with pytest.raises(ValueError):
         vqls.SolveConfig(mode="approximate")
+    for shots in (0, 2**63):
+        with pytest.raises(ValueError, match="positive shot count"):
+            vqls.SolveConfig(mode="shots", shots=shots)
 
 
 def test_zero_parameters_prepare_the_zero_state():
@@ -428,8 +431,10 @@ def test_solve_builds_each_point_once(kind, monkeypatch):
 
 def test_shots_mode_requires_a_count():
     config = vqls.AnsatzConfig(n_qubits=2)
-    with pytest.raises(ValueError):
-        vqls.cost_global(np.eye(4), np.ones(4), config, np.zeros(16), mode="shots")
+    for shots in (None, 2**63):
+        with pytest.raises(ValueError, match="positive shot count"):
+            vqls.cost_global(np.eye(4), np.ones(4), config, np.zeros(config.n_params),
+                             mode="shots", shots=shots)
 
 
 class _Quadratic:

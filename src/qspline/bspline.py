@@ -116,10 +116,16 @@ class DesignMatrix:
 
 
 def as_matrix(system: DesignMatrix | np.ndarray) -> np.ndarray:
-    """The square float matrix behind a :class:`DesignMatrix` or an array."""
+    """The square float matrix behind a :class:`DesignMatrix` or an array; a
+    complex array passes only if its imaginary part is zero."""
     if isinstance(system, DesignMatrix):
         return system.entries
-    m = np.asarray(system, dtype=float)
+    m = np.asarray(system)
+    if np.iscomplexobj(m):
+        if np.any(m.imag):
+            raise ValueError("matrix must be real")
+        m = m.real
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     return m

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import as_matrix
 from .sim import RY_3PI, X, Y, Z
 
 __all__ = [
@@ -154,14 +155,7 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     Raises if the matrix is not real, not square, or not of power-of-two
     size, and double-checks that the retained terms rebuild the input.
     """
-    m = np.asarray(matrix)
-    if np.iscomplexobj(m):
-        if np.max(np.abs(m.imag)) > 0:
-            raise ValueError("pauli_decompose expects a real matrix")
-        m = m.real
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got {m.shape}")
+    m = as_matrix(matrix)
     dim = m.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sim
+from . import sim, vqls
 from .bspline import as_matrix
 
 __all__ = ["EstimateVector", "recover_estimates"]
@@ -73,8 +73,7 @@ def recover_estimates(
     if abs(float(np.linalg.norm(y)) - 1.0) > 1e-8:
         raise ValueError("y_norm must be unit-norm (normalize the targets first)")
 
-    if mode not in ("exact", "shots"):
-        raise ValueError(f"unknown mode {mode!r}")
+    vqls.check_mode(mode)
     # row by row, the same arithmetic as normalizing each row for its circuit
     row_norms = np.array([float(np.linalg.norm(row)) for row in matrix])
     for k, norm in enumerate(row_norms, start=1):

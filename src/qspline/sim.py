@@ -399,8 +399,9 @@ def sample_overlap(overlaps, shots: int, seed: int | None = None) -> np.ndarray:
 
 
 def check_shots(shots: int) -> None:
-    """Reject any shot count but an integer in [1, ``MAX_SHOTS``]."""
-    if not isinstance(shots, (int, np.integer)) or not 1 <= shots <= MAX_SHOTS:
+    """Reject any shot count but an integer in [1, ``MAX_SHOTS``]; a bool is not one."""
+    if (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
+            or not 1 <= shots <= MAX_SHOTS):
         raise ValueError(f"shots must be a positive shot count of at most {MAX_SHOTS}, "
                          f"got {shots!r}")
 

@@ -16,7 +16,7 @@ the rotation tree the forward pass gathers one cosine or sine per level
 and leaf and takes their running product down the levels, and J_v is each
 level's prefix times its factor's derivative times the running product of
 the levels below, filled in with one fancy assignment; on the brick wall
-J_v is carried forward through the circuit beside the state.
+column j of J_v is half the state at angle j + pi, from the state's own walk.
 Shots mode assembles the cost from the overlaps that Hadamard tests over
 pairs of terms of an LCU decomposition of S estimate: the term states
 A_l V|0>, each Pauli string a signed gather of V|0>, give every pair in
@@ -54,6 +54,7 @@ __all__ = [
     "VqlsSolution",
     "ansatz_ops",
     "ansatz_state_vector",
+    "check_mode",
     "cost_global",
     "solve",
 ]
@@ -156,14 +157,23 @@ def _cz_mask(n_qubits: int, parity: int) -> np.ndarray:
     return signs
 
 
-def _rotate(vec: np.ndarray, qubit: int, c: float, s: float) -> None:
-    """Ry on ``qubit`` of ``vec`` in place, by the half angle of cosine ``c``
-    and sine ``s``; a stack of states, one after the other, rotates alike."""
-    view = vec.reshape(-1, 2, 1 << qubit)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = c * lo - s * hi
-    view[:, 1, :] = s * lo + c * hi
+def _brick_wall(config: AnsatzConfig, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Brick-wall states, one per column of the ``(P, B)`` tables ``cos`` and
+    ``sin``: column b of the ``(2^n, B)`` result is V|0> with rotation j by
+    the half angle of cosine ``cos[j, b]`` and sine ``sin[j, b]``."""
+    n = config.n_qubits
+    vecs = np.zeros((1 << n, cos.shape[1]))
+    vecs[0] = 1.0
+    for j in range(config.n_params):
+        layer, q = divmod(j, n)
+        if layer and not q:
+            vecs *= _cz_mask(n, (layer - 1) % 2)[:, None]
+        view = vecs.reshape(-1, 2, 1 << q, vecs.shape[1])
+        lo, hi = view[:, 0], view[:, 1]
+        turned = cos[j] * lo - sin[j] * hi
+        hi[...] = sin[j] * lo + cos[j] * hi
+        lo[...] = turned
+    return vecs
 
 
 @lru_cache(maxsize=16)
@@ -191,7 +201,7 @@ _ONE, _ZERO = np.ones(1), np.zeros(1)
 
 
 def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
-    """Trial state at ``theta``, with what the adjoint sweep reads.
+    """Trial state at ``theta``, with what :func:`_state_jacobian` reads.
 
     For the tree, returns ``(trig, factors, amps)``: ``trig`` is
     ``[1 | cos | sin]`` of the half angles, ``factors`` its gather through
@@ -209,17 +219,7 @@ def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
         trig = np.concatenate((_ONE, cos, sin))
         factors = trig[_tree_index(n)]
         return trig, factors, np.multiply.accumulate(factors, axis=0)
-    vec = np.zeros(1 << n)
-    vec[0] = 1.0
-    for q in range(n):
-        _rotate(vec, q, cos[q], sin[q])
-    pos = n
-    for layer in range(config.layers):
-        vec *= _cz_mask(n, layer % 2)
-        for q in range(n):
-            _rotate(vec, q, cos[pos + q], sin[pos + q])
-        pos += n
-    return cos, sin, [vec]
+    return cos, sin, [_brick_wall(config, cos[:, None], sin[:, None]).reshape(-1)]
 
 
 def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
@@ -264,18 +264,19 @@ def _state_jacobian(config: AnsatzConfig, forward: tuple) -> np.ndarray:
     """Jacobian dv/dtheta of the trial state, as a ``(2^n, P)`` array, from
     the forward pass ``forward`` of :func:`_forward`.
 
+    Both circuits rest on dRy(t)/dt = Ry(t + pi) / 2: the pair (cos(t/2), sin(t/2))
+    moves along (-sin(t/2), cos(t/2)) / 2, the pair at t + pi halved.
     In the tree, each leaf amplitude is a product of one factor per level,
     cos(t/2) or sin(t/2) of the angle on its path, so its derivative in the
-    angle of level l is (prefix above l) x (derivative of the level's
-    factor, -sin(t/2)/2 or cos(t/2)/2) x (product of the factors below l).
-    The products below come from one running product up the levels, and as
-    each (leaf, level) pair names a distinct angle, one fancy assignment
-    fills the matrix.
-    In the brick wall, a rotation's derivative is half the pair rotation
-    [[0, -1], [1, 0]] applied after it, so forward mode carries the state
-    and one tangent per angle through the circuit: after rotation j the
-    tangent of angle j starts as that half pair rotation of the state, and
-    every later gate acts on the state and the tangents so far alike.
+    angle of level l is (prefix above l) x (that factor at t + pi, halved)
+    x (product of the factors below l); leaves off the angle's subtree
+    stay 0.  The products below come from one running product up the
+    levels, and as each (leaf, level) pair names a distinct angle, one
+    fancy assignment fills the matrix.
+    In the brick wall each angle sits in one gate, so column j is half the
+    state with angle j's pair swapped to (-sin, cos), all columns from one
+    :func:`_brick_wall`; each entry is bitwise the tangent that forward mode
+    carries through the circuit, but for the sign of an exact zero.
     """
     n, n_params = config.n_qubits, config.n_params
     dim = 1 << n
@@ -294,18 +295,11 @@ def _state_jacobian(config: AnsatzConfig, forward: tuple) -> np.ndarray:
         return jacobian
 
     cos, sin, _ = forward
-    stack = np.zeros((n_params + 1, dim))  # the state, then one tangent per angle
-    stack[0, 0] = 1.0
-    for j in range(n_params):
-        layer, q = divmod(j, n)
-        if layer and not q:
-            stack[:j + 1] *= _cz_mask(n, (layer - 1) % 2)
-        _rotate(stack[:j + 1], q, cos[j], sin[j])
-        state = stack[0].reshape(-1, 2, 1 << q)
-        tangent = stack[j + 1].reshape(-1, 2, 1 << q)
-        tangent[:, 0] = state[:, 1] / -2.0
-        tangent[:, 1] = state[:, 0] / 2.0
-    return stack[1:].T
+    # column j advances angle j by pi: (cos, sin) -> (-sin, cos), exactly
+    cos_cols, sin_cols = np.tile(cos[:, None], n_params), np.tile(sin[:, None], n_params)
+    np.fill_diagonal(cos_cols, -sin)
+    np.fill_diagonal(sin_cols, cos)
+    return _brick_wall(config, cos_cols, sin_cols) / 2.0
 
 
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
@@ -353,6 +347,12 @@ def _shots_cost(
     return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
 
 
+def check_mode(mode: str) -> None:
+    """Reject any mode but one of ``MODES``."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
+
+
 def cost_global(
     system,
     y,
@@ -364,13 +364,11 @@ def cost_global(
 ) -> float:
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with
     Y, the raw target vector ``y`` normalized."""
-    y = _y_vector(y)
+    check_mode(mode)
+    y, v = _y_vector(y), ansatz_state_vector(config, theta)
     if mode == "exact":
-        return _exact_cost(as_matrix(system), y, ansatz_state_vector(config, theta))[0]
-    if mode == "shots":
-        v = ansatz_state_vector(config, theta)
-        return _shots_cost(_lcu_arrays(as_matrix(system)), y, v, shots, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        return _exact_cost(as_matrix(system), y, v)[0]
+    return _shots_cost(_lcu_arrays(as_matrix(system)), y, v, shots, seed)
 
 
 # ----------------------------------------------------------------------------
@@ -389,8 +387,7 @@ class SolveConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; pick one of {', '.join(MODES)}")
+        check_mode(self.mode)
         sim.check_shots(self.shots)
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")

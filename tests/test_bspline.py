@@ -91,6 +91,18 @@ def test_design_matrix_rejects_bad_points():
         bspline.design_matrix_d1(np.array([0.0, 1.5, 0.7, 1.0]))  # out of range
 
 
+def test_as_matrix_keeps_only_real_systems():
+    real = np.array([[1.0, 0.5], [0.0, 1.0]])
+    # a complex array passes when its imaginary part is zero
+    got = bspline.as_matrix(real.astype(complex))
+    assert got.dtype == np.float64 and got.tobytes() == real.tobytes()
+    for imag in (1e-300, np.nan):
+        with pytest.raises(ValueError, match="matrix must be real"):
+            bspline.as_matrix(real + 1j * np.diag([0.0, imag]))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        bspline.as_matrix(np.ones((2, 4)))
+
+
 def test_interior_rows_carry_the_point_coordinates():
     points = np.array([0.0, 0.25, 0.5, 1.0])
     dm = bspline.design_matrix_d1(points)

@@ -133,7 +133,9 @@ def test_recovery_validates_inputs():
     null_state = sim.QuantumState(1, np.array([1.0, -1.0]) / math.sqrt(2.0))
     with pytest.raises(ValueError, match="numerically zero"):
         readout.recover_estimates(np.ones((2, 2)), null_state, [1.0, 0.0])
-    with pytest.raises(ValueError, match="unknown mode"):
+    with pytest.raises(ValueError, match="matrix must be real"):
+        readout.recover_estimates(system.entries + 1j * np.diag([0, 0, 0, 1.0]), state, y_unit)
+    with pytest.raises(ValueError, match="unknown mode 'approximate'; pick one of exact, shots"):
         readout.recover_estimates(system, state, y_unit, mode="approximate")
     for shots in (None, 0, -5, 2**63):
         with pytest.raises(ValueError, match="positive shot count"):

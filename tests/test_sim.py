@@ -185,7 +185,7 @@ def test_sample_overlap_makes_the_hadamard_test_draw(n_qubits):
 
 
 def test_sample_overlap_rejects_bad_shot_counts():
-    for shots in (0, -3, 2**63, 2.5):
+    for shots in (0, -3, 2**63, 2.5, True):
         with pytest.raises(ValueError):
             sim.sample_overlap(0.5, shots, 1)
 

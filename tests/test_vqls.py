@@ -42,7 +42,10 @@ def test_config_validation():
     assert vqls.AnsatzConfig(n_qubits=7).n_params == 127
     with pytest.raises(ValueError):
         vqls.SolveConfig(mode="approximate")
-    for shots in (0, 2**63):
+    with pytest.raises(ValueError, match="unknown mode 'approximate'; pick one of exact, shots"):
+        vqls.cost_global(np.eye(2), [1.0, 0.0], vqls.AnsatzConfig(n_qubits=1), [0.0],
+                         mode="approximate")
+    for shots in (0, 2**63, True):
         with pytest.raises(ValueError, match="positive shot count"):
             vqls.SolveConfig(mode="shots", shots=shots)
 
@@ -358,6 +361,55 @@ def test_tree_sweep_matches_the_level_by_level_recursion(knots):
         pulled = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
         got = pulled @ vqls._state_jacobian(config, forward)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _forward_mode_jacobian(config, theta):
+    """The brick wall's state and Jacobian dv/dtheta in forward mode, which
+    carries the state and one tangent per angle through the circuit.  A
+    rotation's derivative is half the pair rotation [[0, -1], [1, 0]]
+    applied after it, so after rotation j the tangent of angle j starts as
+    that half pair rotation of the state, and every later gate acts on the
+    state and the tangents so far alike."""
+    n, n_params = config.n_qubits, config.n_params
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    stack = np.zeros((n_params + 1, 1 << n))  # the state, then one tangent per angle
+    stack[0, 0] = 1.0
+    for j in range(n_params):
+        layer, q = divmod(j, n)
+        if layer and not q:
+            stack[:j + 1] *= vqls._cz_mask(n, (layer - 1) % 2)
+        view = stack[:j + 1].reshape(-1, 2, 1 << q)  # Ry on qubit q of every row
+        lo = view[:, 0, :].copy()
+        hi = view[:, 1, :]
+        view[:, 0, :] = cos[j] * lo - sin[j] * hi
+        view[:, 1, :] = sin[j] * lo + cos[j] * hi
+        state = stack[0].reshape(-1, 2, 1 << q)
+        tangent = stack[j + 1].reshape(-1, 2, 1 << q)
+        tangent[:, 0] = state[:, 1] / -2.0
+        tangent[:, 1] = state[:, 0] / 2.0
+    return stack[0], stack[1:].T
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+def test_brick_wall_jacobian_is_the_forward_mode_recursion(n_qubits):
+    config = vqls.AnsatzConfig(n_qubits=n_qubits, kind="layered")
+    rng = np.random.default_rng(300 + n_qubits)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, (50, config.n_params))
+    # every other point pins about a third of its angles to 0, pi or 2 pi,
+    # where rotations cancel to exact zeros
+    for theta in thetas[1::2]:
+        pinned = rng.random(theta.size) < 0.35
+        theta[pinned] = rng.choice([0.0, np.pi, 2.0 * np.pi], pinned.sum())
+    for k, theta in enumerate(thetas):
+        forward = vqls._forward(config, theta)
+        want_state, want = _forward_mode_jacobian(config, theta)
+        got = vqls._state_jacobian(config, forward)
+        assert forward[2][-1].tobytes() == want_state.tobytes()
+        if k % 2 == 0:
+            assert got.tobytes() == want.tobytes()
+        # an exact zero may differ in sign: the walk's -(s lo) - c hi is +0
+        # where forward mode's -(s lo + c hi) is -0, and adding +0 clears it
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["tree", "layered"])
@@ -814,3 +866,5 @@ def test_solve_validates_inputs():
         vqls.solve(np.eye(4), np.zeros(4))  # zero target
     with pytest.raises(ValueError):
         vqls.solve(np.eye(4), np.ones(4), ansatz=vqls.AnsatzConfig(n_qubits=3))
+    with pytest.raises(ValueError, match="matrix must be real"):
+        vqls.solve(np.eye(4) + 1j * np.diag([0, 0, 0, 1.0]), np.ones(4))  # complex

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, readout, sim, vqls
 from .bspline import bidiagonal_scaling, build_system
-from .functions import TARGETS, nrmse
+from .functions import TARGETS
 from .report import FitReport
 
 __all__ = ["FitConfig", "QSPLINES_BASELINE", "BASELINE_KNOTS", "build_system", "fit"]
@@ -120,12 +120,9 @@ def fit(config: FitConfig) -> FitReport:
         seed=config.seed,
         rng=vqls.SEEDING,
         y_estimate=[float(v) for v in y_estimate],
-        nrmse=float(nrmse(y_estimate, y01)),
         final_cost=solution.final_cost,
         cost_trace=list(solution.cost_trace),
-        converged=solution.converged,
         restarts_used=solution.restarts_used,
-        mean_bias=float(np.mean(y_estimate - y01)),
         wall_seconds=read_out - started,
         baseline={
             "model": "QSplines (swap test)",

@@ -12,9 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["FitReport", "format_number", "CSV_HEADER"]
+import numpy as np
+
+from .functions import nrmse
+
+__all__ = ["FitReport", "format_number", "CSV_HEADER", "SUCCESS_NRMSE"]
 
 CSV_HEADER = "x,y_target,y_estimate"
+SUCCESS_NRMSE = 0.03  # criterion 1's band: a fit at or below it counts as converged
 
 
 def format_number(value: float) -> str:
@@ -24,7 +29,9 @@ def format_number(value: float) -> str:
 
 @dataclass
 class FitReport:
-    """Everything needed to inspect or replay one fit."""
+    """Everything needed to inspect or replay one fit, and the one judge of
+    it: every construction, ``dataclasses.replace`` too, scores ``nrmse``,
+    ``mean_bias`` and ``converged`` from ``y_target`` and ``y_estimate``."""
 
     function: str
     knots: int
@@ -33,11 +40,8 @@ class FitReport:
     xs: list[float]
     y_target: list[float]
     y_estimate: list[float]
-    nrmse: float
-    classical_nrmse: float | None
-    converged: bool
-    restarts_used: int
-    mean_bias: float
+    classical_nrmse: float | None = None  # the classical floor; a classical report's own nrmse
+    restarts_used: int = 0
     degree: int = 1  # every spline here is degree 1; the sidecar records it
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
@@ -59,6 +63,9 @@ class FitReport:
     restarts: list | None = None
     timings: dict | None = None
     cost_trace: list | None = None
+    nrmse: float = field(init=False)
+    mean_bias: float = field(init=False)
+    converged: bool = field(init=False)
 
     def __post_init__(self):
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}
@@ -66,6 +73,12 @@ class FitReport:
             raise ValueError(
                 f"columns must all have length {self.knots}, got {sorted(lengths)}"
             )
+        target, estimate = np.asarray(self.y_target), np.asarray(self.y_estimate)
+        self.nrmse = nrmse(estimate, target)
+        self.mean_bias = float(np.mean(estimate - target))
+        self.converged = self.nrmse <= SUCCESS_NRMSE
+        if self.mode == "classical":
+            self.classical_nrmse = self.nrmse
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]

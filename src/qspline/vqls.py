@@ -71,8 +71,7 @@ _FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
 # settings of the optimizer loops: Levenberg-Marquardt in exact mode, BFGS in shots mode
 MAX_ITER = 10_000  # default cap on the Jacobians or BFGS iterations of one restart
 FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
-STOP_COST = 1e-8  # good enough to skip the remaining restarts
-SUCCESS_COST = 1e-3  # below this the solve counts as converged
+STOP_COST = 1e-8  # a restart at or below this skips the remaining restarts
 STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
 DAMPING_START = 1e-3  # Levenberg-Marquardt damping of a restart's first step
 DAMPING_UP, DAMPING_DOWN = 4.0, 3.0  # its factors after a rejected and an accepted trial
@@ -406,10 +405,10 @@ class VqlsSolution:
     rows of a central difference in shots mode.  ``gradients`` counts the
     Jacobians of the Levenberg-Marquardt loop in exact mode and the
     gradients of the BFGS loop in shots mode.  ``stop_reason`` is why the
-    loop stopped: ``"stop cost"`` (it ended at or below ``STOP_COST``),
-    ``"no descent"`` (no step lowered the cost: in exact mode a trial
-    rounded back to theta or the damping passed ``DAMPING_CEILING``; in
-    shots mode a zero gradient, or no step size) or ``"max_iter"``.
+    loop stopped: ``"no descent"`` (no step lowered the cost: in exact mode
+    a trial rounded back to theta or the damping passed ``DAMPING_CEILING``,
+    as at the float floor; in shots mode a zero gradient, or no step size)
+    or ``"max_iter"``.  The fit report, not the solver, judges the fit.
     ``evaluations`` sums the two counts over every restart, and
     ``cost_trace`` is the best restart's.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
@@ -422,7 +421,6 @@ class VqlsSolution:
     beta_state: sim.QuantumState
     final_cost: float
     cost_trace: tuple
-    converged: bool
     restarts_used: int
     evaluations: dict
     condition_number: float
@@ -643,8 +641,6 @@ def solve(
         if cfg.mode == "shots":
             point = _shots_point(lcu, y_vec, ans, cfg.shots, int(rng.integers(0, 2**31 - 1)))
         theta, cost, trace, reason, points, gradients = descend(point, theta0, cfg.max_iter)
-        if cost <= STOP_COST:
-            reason = "stop cost"
         records.append({"final_cost": float(cost),
                          "cost_rows": points + gradient_rows * gradients,
                          "gradients": gradients, "stop_reason": reason})
@@ -659,7 +655,6 @@ def solve(
         beta_state=sim.QuantumState(n, ansatz_state_vector(ans, theta).astype(complex)),
         final_cost=float(cost),
         cost_trace=tuple(float(c) for c in trace),
-        converged=bool(cost <= SUCCESS_COST),
         restarts_used=len(records),
         evaluations={key: sum(r[key] for r in records) for key in ("cost_rows", "gradients")},
         condition_number=condition_number,

@@ -19,7 +19,8 @@ Every term is a signed permutation, ``X^x Z^z |j> = (-1)**popcount(j & z)
 |j ^ x>``, and its global factor ``i**(phase + #Y)`` is +-1, so
 :func:`signed_permutations` gives each term as an index map and a sign
 vector: :func:`reconstruct` scatters those into a real matrix, and the
-shots cost gathers with them.
+shots cost gathers with them.  One map, :func:`_pauli_masks`, takes factors
+to (x, z, #Y) for both :func:`pauli_decompose` and :func:`signed_permutations`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
 COEFF_CUTOFF = 1e-12
 
 _PAULI_GATES = {"X": X, "Y": Y, "Z": Z}
+_LETTERS = np.frombuffer(b"IXYZ", dtype=np.uint8)  # digit d's factor, in ascending bytes
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,6 @@ class LcuTerm:
     def n_qubits(self) -> int:
         return len(self.paulis)
 
-    @property
-    def xz(self) -> tuple[int, int]:
-        """Bit masks (x, z) of the string ``i**#Y X^x Z^z`` (Y = i X Z)."""
-        x = sum(1 << q for q, p in enumerate(self.paulis) if p in "XY")
-        z = sum(1 << q for q, p in enumerate(self.paulis) if p in "YZ")
-        return x, z
-
-    @property
-    def sign(self) -> float:
-        """The global factor ``i**(phase + #Y)``, real because the exponent is
-        even: the unitary is ``sign * X^x Z^z``."""
-        return -1.0 if (self.phase + self.paulis.count("Y")) % 4 else 1.0
-
     def ops(self) -> tuple:
         """Gate sequence realizing the unitary; the i is folded into one Y."""
         ops = []
@@ -108,14 +97,25 @@ class LcuDecomposition:
     n_qubits: int
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.n_qubits != self.n_qubits:
-                raise ValueError(
-                    f"term {t.label!r} acts on {t.n_qubits} qubits, expected {self.n_qubits}"
-                )
+        _check_width(self.terms, self.n_qubits)
 
     def coefficients(self) -> np.ndarray:
         return np.array([t.coefficient for t in self.terms])
+
+
+def _check_width(terms, n_qubits: int) -> None:
+    for t in terms:
+        if t.n_qubits != n_qubits:
+            raise ValueError(f"term {t.label!r} acts on {t.n_qubits} qubits, expected {n_qubits}")
+
+
+def _pauli_masks(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks x, z and Y count of each column of ``digits`` (row q: the factor
+    I, X, Y, Z = 0..3 on qubit q), whose string is ``i**#Y X^x Z^z``."""
+    weights = 1 << np.arange(digits.shape[0])
+    x = weights @ ((digits == 1) | (digits == 2))
+    z = weights @ (digits >= 2)
+    return x, z, np.count_nonzero(digits == 2, axis=0)
 
 
 def block_coefficients(a: float, b: float) -> tuple[float, float, float, float]:
@@ -161,26 +161,20 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"matrix size must be a power of two >= 2, got {dim}")
 
-    sylvester = np.ones((1, 1))
-    for _ in range(n):
-        sylvester = np.block([[sylvester, sylvester], [sylvester, -sylvester]])
     idx = np.arange(dim)
+    sylvester = (-1.0) ** np.bitwise_count(idx[:, None] & idx)  # H[i, j]
     walsh = sylvester @ m[idx[:, None], idx[:, None] ^ idx] / dim
 
-    # the 4**n strings in product("IXYZ") order: digits[k, s] is the factor
-    # (I, X, Y, Z = 0..3) of string s on qubit n-1-k
-    digits = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1)
-    weights = 1 << np.arange(n - 1, -1, -1)
-    x = weights @ ((digits == 1) | (digits == 2))
-    z = weights @ (digits >= 2)
-    n_y = np.count_nonzero(digits == 2, axis=0)
+    # the 4**n strings in product("IXYZ") order, one per column, qubit q in row q
+    digits = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1)[::-1]
+    x, z, n_y = _pauli_masks(digits)
     coefficients = np.where(n_y // 2 % 2, -1.0, 1.0) * walsh[z, x]
-    terms = []
-    for k in np.flatnonzero(~(np.abs(coefficients) < COEFF_CUTOFF)):
-        s = "".join("IXYZ"[d] for d in digits[:, k])
-        # string labels read qubit n-1 on the left, matching bitstrings
-        terms.append(LcuTerm(float(coefficients[k]), s[::-1], ("i*" if n_y[k] % 2 else "") + s))
-    decomp = LcuDecomposition(terms=tuple(terms), n_qubits=n)
+    kept = np.flatnonzero(~(np.abs(coefficients) < COEFF_CUTOFF))
+    # kept columns as strings, qubit 0 first; labels reverse them to read like bitstrings
+    strings = _LETTERS[digits[:, kept].T].view(f"S{n}").astype(str).ravel().tolist()
+    terms = tuple(LcuTerm(float(coefficients[k]), s, ("i*" if n_y[k] % 2 else "") + s[::-1])
+                  for k, s in zip(kept, strings))
+    decomp = LcuDecomposition(terms=terms, n_qubits=n)
 
     if np.max(np.abs(reconstruct(decomp) - m)) > 1e-10:
         raise ValueError("reconstruction drifted from the input matrix")
@@ -194,11 +188,14 @@ def signed_permutations(terms, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     Row i of term t's unitary ``sign * X^x Z^z`` holds its one nonzero entry,
     ``signs[t, i] = sign * (-1)**popcount(cols[t, i] & z)``, at column
     ``cols[t, i] = i ^ x``; so the unitary maps v to ``signs[t] * v[cols[t]]``.
+    Every term's string must be ``n_qubits`` long.
     """
-    masks = np.array([t.xz for t in terms], dtype=np.int64).reshape(-1, 2)
-    cols = np.arange(1 << n_qubits) ^ masks[:, :1]
-    sign = np.array([t.sign for t in terms]).reshape(-1, 1)
-    signs = np.where(np.bitwise_count(cols & masks[:, 1:]) & 1, -sign, sign)
+    _check_width(terms, n_qubits)
+    codes = np.frombuffer("".join(t.paulis for t in terms).encode(), dtype=np.uint8)
+    x, z, n_y = _pauli_masks(np.searchsorted(_LETTERS, codes).reshape(-1, n_qubits).T)
+    cols = np.arange(1 << n_qubits) ^ x[:, None]
+    sign = np.where((n_y % 2 + n_y) % 4, -1.0, 1.0)[:, None]  # i**(phase + #Y)
+    signs = np.where(np.bitwise_count(cols & z[:, None]) & 1, -sign, sign)
     return cols, signs
 
 

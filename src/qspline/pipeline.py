@@ -80,13 +80,11 @@ def fit(config: FitConfig) -> FitReport:
     y01 = np.asarray(classical.y_target)
     matrix = build_system(config.knots)[0].entries
     # scaled, even a numerically singular S looks well conditioned
-    condition_number = float(np.linalg.cond(matrix))
-    if condition_number > vqls.SINGULAR_COND:
-        raise ValueError("system matrix is singular")
+    condition_number = vqls.check_invertible(matrix)
     r, c = bidiagonal_scaling(matrix)
     solve_cfg, ansatz_cfg = config.solver()
 
-    started = time.perf_counter()
+    solving = time.perf_counter()
     solution = vqls.solve(r[:, None] * matrix * c, r * y01, solve_cfg, ansatz_cfg)
     solved = time.perf_counter()
     y_unit = y01 / float(np.linalg.norm(y01))
@@ -99,14 +97,14 @@ def fit(config: FitConfig) -> FitReport:
         y_unit,
         mode=config.mode,
         shots=config.shots,
-        # disjoint from the restart substreams (seed, 0..restarts-1)
+        # disjoint from the restart substreams (seed, 0..restarts-1), and named in rng
         seed=int(np.random.SeedSequence((config.seed, 1 << 20)).generate_state(1)[0]),
     )
     read_out = time.perf_counter()
 
     y_estimate = estimate.values * float(np.linalg.norm(y01))
     timings = {
-        "solve_s": solved - started,
+        "solve_s": solved - solving,
         "readout_s": read_out - solved,
         "classical_s": classical_s,
     }
@@ -118,7 +116,7 @@ def fit(config: FitConfig) -> FitReport:
         ansatz=ansatz_cfg.record(),
         optimizer=dict(solution.optimizer),
         seed=config.seed,
-        rng=vqls.SEEDING,
+        rng=f"{vqls.SEEDING}; the shots readout seeded by SeedSequence((seed, 1 << 20))",
         y_estimate=[float(v) for v in y_estimate],
         final_cost=solution.final_cost,
         cost_trace=list(solution.cost_trace),

@@ -54,6 +54,7 @@ __all__ = [
     "VqlsSolution",
     "ansatz_ops",
     "ansatz_state_vector",
+    "check_invertible",
     "check_mode",
     "cost_global",
     "solve",
@@ -76,8 +77,9 @@ STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identi
 DAMPING_START = 1e-3  # Levenberg-Marquardt damping of a restart's first step
 DAMPING_UP, DAMPING_DOWN = 4.0, 3.0  # its factors after a rejected and an accepted trial
 DAMPING_FLOOR, DAMPING_CEILING = 1e-15, 1e16  # its least value, and where descent is lost
-SINGULAR_COND = 1e12  # a system of larger condition number counts as singular
-SEEDING = "numpy default_rng; restart i seeded by SeedSequence((seed, i))"
+SINGULAR_COND = 1e12  # a larger cond counts as singular (determinants underflow)
+SEEDING = ("numpy default_rng; restart i seeded by SeedSequence((seed, i)), "
+           "from which a shots restart draws its frozen shot-noise seed")
 
 
 @dataclass(frozen=True)
@@ -352,6 +354,14 @@ def check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
 
 
+def check_invertible(matrix: np.ndarray) -> float:
+    """cond(matrix), after rejecting a singular one: not finite, or above ``SINGULAR_COND``."""
+    cond = float(np.linalg.cond(matrix)) if np.all(np.isfinite(matrix)) else math.inf
+    if cond > SINGULAR_COND:
+        raise ValueError("system matrix is singular")
+    return cond
+
+
 def cost_global(
     system,
     y,
@@ -610,13 +620,7 @@ def solve(
     n = dim.bit_length() - 1
     if dim < 2 or (1 << n) != dim:
         raise ValueError(f"system dimension must be a power of two >= 2, got {dim}")
-    # determinants underflow for larger grids, so gauge invertibility by
-    # conditioning instead
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("system matrix is singular")
-    condition_number = float(np.linalg.cond(matrix))
-    if condition_number > SINGULAR_COND:
-        raise ValueError("system matrix is singular")
+    condition_number = check_invertible(matrix)
     ans = ansatz or AnsatzConfig(n_qubits=n)
     if ans.n_qubits != n:
         raise ValueError(f"ansatz spans {ans.n_qubits} qubits, system needs {n}")

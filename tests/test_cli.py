@@ -152,6 +152,10 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
     assert again["restarts"] == restarts
     assert set(first["timings"]) == {"solve_s", "readout_s", "classical_s"}
     assert all(seconds >= 0.0 for seconds in first["timings"].values())
+    # the fit's wall time spans every stage, the classical fit included
+    assert first["wall_seconds"] >= sum(first["timings"].values())
+    # rng names the restart streams, the shot noise they seed and the readout's
+    assert first["rng"].startswith(vqls.SEEDING) and "(seed, 1 << 20)" in first["rng"]
 
     assert cli.main(["fit", "--function", "elu", "--knots", "8", "--classical-only",
                      "--out", str(tmp_path / "c")]) == 0

@@ -154,7 +154,28 @@ def test_phase_requires_a_y_factor():
 def test_phase_must_be_the_parity_of_the_y_factors():
     # Y alone is imaginary; only i*Y is a real (signed permutation) term
     assert decomp.LcuTerm(1.0, "Y", "Ry(3pi)").phase == 1
-    assert decomp.LcuTerm(1.0, "YY", "YY").sign == -1.0  # Y Y = -(X Z)(X Z)
+    cols, signs = decomp.signed_permutations((decomp.LcuTerm(1.0, "YY", "YY"),), 2)
+    unitary = np.zeros((4, 4))
+    unitary[np.arange(4), cols[0]] = signs[0]
+    xz = (_PAULI["X"] @ _PAULI["Z"]).real
+    assert np.array_equal(unitary, -np.kron(xz, xz))  # Y Y = -(X Z)(X Z)
+
+
+def test_an_empty_decomposition_has_no_permutations():
+    # the zero matrix keeps no term; the one-pass read takes no strings
+    d = decomp.pauli_decompose(np.zeros((4, 4)))
+    assert d.terms == ()
+    cols, signs = decomp.signed_permutations((), 2)
+    assert cols.shape == signs.shape == (0, 4)
+    _assert_bitwise_equal(decomp.reconstruct(d), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("paulis", ["X", "XZY"])
+def test_signed_permutations_refuse_a_term_of_another_width(paulis):
+    # a short string must not be read as padded with I, nor a long one overrun
+    terms = (decomp.LcuTerm(1.0, "ZY", "YZ"), decomp.LcuTerm(1.0, paulis, paulis))
+    with pytest.raises(ValueError, match="expected 2"):
+        decomp.signed_permutations(terms, 2)
 
 
 def _assert_bitwise_equal(got, want):

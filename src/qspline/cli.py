@@ -170,6 +170,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         settings[key] = value
+    if "\0" in settings["out"]:
+        raise UsageError(f"output directory {settings['out']!r} holds a NUL byte")
     return settings
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import as_matrix
-from .sim import RY_3PI, X, Y, Z
+from .sim import RY_3PI, X, Y, Z, qubit_count
 
 __all__ = [
     "LcuTerm",
@@ -157,9 +157,7 @@ def pauli_decompose(matrix: np.ndarray) -> LcuDecomposition:
     """
     m = as_matrix(matrix)
     dim = m.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"matrix size must be a power of two >= 2, got {dim}")
+    n = qubit_count(dim)
 
     idx = np.arange(dim)
     sylvester = (-1.0) ** np.bitwise_count(idx[:, None] & idx)  # H[i, j]

@@ -54,11 +54,13 @@ class FitConfig:
             raise ValueError(
                 f"unknown function {self.function!r}; pick one of {sorted(TARGETS)}"
             )
+        sim.check_count("knots", self.knots, 2)
         if self.knots not in _ALLOWED_KNOTS:
             raise ValueError(f"knots must be one of {_ALLOWED_KNOTS}, got {self.knots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.solver()
+        # a numpy integer passes the checks, and the JSON report takes a plain int
+        for name in ("knots", "shots", "restarts", "seed", "max_iter"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def solver(self) -> tuple[vqls.SolveConfig, vqls.AnsatzConfig]:
         """This fit's solve and ansatz configs; a classical fit's takes the
@@ -66,7 +68,7 @@ class FitConfig:
         mode = vqls.SolveConfig.mode if self.mode == "classical" else self.mode
         return (vqls.SolveConfig(mode=mode, shots=self.shots, max_iter=self.max_iter,
                                  restarts=self.restarts, seed=self.seed),
-                vqls.AnsatzConfig(n_qubits=self.knots.bit_length() - 1, kind=self.ansatz))
+                vqls.AnsatzConfig(n_qubits=sim.qubit_count(self.knots), kind=self.ansatz))
 
 
 def fit(config: FitConfig) -> FitReport:

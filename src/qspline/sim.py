@@ -52,7 +52,9 @@ __all__ = [
     "controlled_ops",
     "hadamard_test",
     "sample_overlap",
+    "check_count",
     "check_shots",
+    "qubit_count",
     "MAX_SHOTS",
 ]
 
@@ -257,7 +259,7 @@ def tree_angles(vector: np.ndarray) -> np.ndarray:
     signed pair, which is where negative amplitudes are produced.
     """
     v = np.asarray(vector, dtype=float).reshape(-1)
-    n = int(v.size).bit_length() - 1
+    n = qubit_count(v.size)
     angles = []
     for level in range(n):
         blocks = v.reshape(1 << level, -1)
@@ -285,12 +287,10 @@ def amplitude_encode(vector: Sequence[float]) -> Preparation:
             raise ValueError("amplitude encoding supports real vectors only")
         v = v.real
     v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size < 2 or v.size & (v.size - 1):
-        raise ValueError(f"vector length must be a power of two >= 2, got {v.size}")
+    n = qubit_count(v.size)
     norm = np.linalg.norm(v)
     if norm < 1e-300:
         raise ValueError("cannot encode the zero vector")
-    n = int(v.size).bit_length() - 1
     ops = multiplexed_tree_ops(tree_angles(v / norm), n)
     state = apply_ops(zero_state(n), ops)
     return Preparation(state=state, ops=ops)
@@ -396,6 +396,22 @@ def sample_overlap(overlaps, shots: int, seed: int | None = None) -> np.ndarray:
     """
     p1 = np.clip((1.0 - np.asarray(overlaps, dtype=float)) / 2.0, 0.0, 1.0)
     return _draw(p1, shots, seed)
+
+
+def qubit_count(size: int) -> int:
+    """Qubits of a register of ``size`` amplitudes, after rejecting a size
+    that is not a power of two >= 2."""
+    n = int(size).bit_length() - 1
+    if size < 2 or (1 << n) != size:
+        raise ValueError(f"register size must be a power of two >= 2, got {size}")
+    return n
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """Reject any ``value`` of the count ``name`` but an integer of at least
+    ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def check_shots(shots: int) -> None:

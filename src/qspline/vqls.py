@@ -5,28 +5,31 @@ The global cost ``C(theta) = 1 - |<Y|psi>|^2 / <psi|psi>`` with
 the (normalized) system, and it never needs S to be Hermitian, so the
 bidiagonal spline matrix is solved directly.
 
-Exact mode evaluates the cost straight from matrix algebra, as
-``C = |r|^2 / d`` with ``d = psi . psi`` and the residual
-``r = psi - (Y . psi) Y``: the same number without the cancellation of
-``1 - ...`` near a solution.  That makes C = f . f for f = r / sqrt(d), a
-least-squares cost whose minimum is 0, so each restart runs
-Levenberg-Marquardt steps (Levenberg, 1944; Marquardt, 1963) built from
-the Jacobian of f, which follows from the trial state's Jacobian J_v.  On
-the rotation tree the forward pass gathers one cosine or sine per level
-and leaf and takes their running product down the levels, and J_v is each
-level's prefix times its factor's derivative times the running product of
-the levels below, filled in with one fancy assignment; on the brick wall
+Each point of a solve is one forward pass of :func:`_trial`, which returns
+the trial state and a thunk for its Jacobian J_v that reuses the pass.  On
+the rotation tree the pass gathers one cosine or sine per level and leaf
+and takes their running product down the levels, and J_v is each level's
+prefix times its factor's derivative times the running product of the
+levels below, filled in with one fancy assignment; on the brick wall
 column j of J_v is half the state at angle j + pi, from the state's own walk.
-Shots mode assembles the cost from the overlaps that Hadamard tests over
-pairs of terms of an LCU decomposition of S estimate: the term states
-A_l V|0>, each Pauli string a signed gather of V|0>, give every pair in
-one Gram product, and one
-:func:`sim.sample_overlap` call adds the shot noise of every test of the
-evaluation from one seeded generator.  The noise is frozen per restart so a
-run is reproducible and the optimizer sees a fixed landscape; its gradient is
-a central difference, taken one coordinate at a time, and each restart
-runs one BFGS loop.  Both loops take a point function of their mode, which
-returns the cost at theta and a thunk for the Jacobian or gradient there.
+Each mode's cost lives in its point function, theta -> (cost, thunk), and
+:func:`cost_global` is that function's cost.
+Exact mode (:func:`_residual_point`) evaluates the cost straight from
+matrix algebra, as ``C = |r|^2 / d`` with ``d = psi . psi`` and the
+residual ``r = psi - (Y . psi) Y``: the same number without the
+cancellation of ``1 - ...`` near a solution.  That makes C = f . f for
+f = r / sqrt(d), a least-squares cost whose minimum is 0, so each restart
+runs Levenberg-Marquardt steps (Levenberg, 1944; Marquardt, 1963) built
+from the Jacobian of f, which follows from J_v.
+Shots mode (:func:`_shots_point`) assembles the cost from the overlaps that
+Hadamard tests over pairs of terms of an LCU decomposition of S estimate:
+the term states A_l V|0>, each Pauli string a signed gather of V|0>, give
+every pair in one Gram product, and one :func:`sim.sample_overlap` call
+adds the shot noise of every test of the evaluation from one seeded
+generator.  The noise is frozen per restart so a run is reproducible and
+the optimizer sees a fixed landscape; its gradient is a central
+difference, taken one coordinate at a time, and each restart runs one
+BFGS loop.
 V(theta) is a rotation tree or a brick wall of CZ and Ry layers at a depth
 fixed by the qubit count; :func:`ansatz_ops` lists its gates, which the
 tests run against the shots cost.
@@ -129,11 +132,17 @@ def _entangler_pairs(n_qubits: int, layer: int) -> tuple:
     return tuple((q, q + 1) for q in range(layer % 2, n_qubits - 1, 2))
 
 
-def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
-    """Gate sequence of the trial circuit at the given parameters."""
+def _theta(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
+    """``theta`` as a flat float array, after checking its length against the circuit's."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != config.n_params:
         raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
+    return theta
+
+
+def ansatz_ops(config: AnsatzConfig, theta: Sequence[float]) -> tuple:
+    """Gate sequence of the trial circuit at the given parameters."""
+    theta = _theta(config, theta)
     if config.kind == "tree":
         return sim.multiplexed_tree_ops(theta, config.n_qubits)
     n = config.n_qubits
@@ -201,34 +210,65 @@ def _tree_index(n_qubits: int) -> np.ndarray:
 _ONE, _ZERO = np.ones(1), np.zeros(1)
 
 
-def _forward(config: AnsatzConfig, theta: np.ndarray) -> tuple:
-    """Trial state at ``theta``, with what :func:`_state_jacobian` reads.
+def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
+    """Trial state V(theta)|0> from one forward pass, and a thunk for its
+    Jacobian dv/dtheta, a ``(2^n, P)`` array, that reuses that pass.
 
-    For the tree, returns ``(trig, factors, amps)``: ``trig`` is
-    ``[1 | cos | sin]`` of the half angles, ``factors`` its gather through
-    :func:`_tree_index`, and ``amps`` their running product down the levels,
-    so row l holds each leaf's prefix amplitude above level l and the last
-    row is the trial state.  The product runs in the order of the level by
-    level walk, where the children of a node split its amplitude by the
-    cosine and sine of its angle, so the state is bitwise the same.  For the
-    brick wall, returns ``(cos, sin, [state])``.
+    Both circuits rest on dRy(t)/dt = Ry(t + pi) / 2: the pair (cos(t/2), sin(t/2))
+    moves along (-sin(t/2), cos(t/2)) / 2, the pair at t + pi halved.
+    The tree's pass gathers ``[1 | cos | sin]`` of the half angles through
+    :func:`_tree_index` and takes the running product of the factors down
+    the levels, so row l of ``amps`` holds each leaf's prefix amplitude
+    above level l and the last row is the state; the product runs in the
+    order of the level by level walk, where the children of a node split its
+    amplitude by the cosine and sine of its angle, so the state is bitwise
+    the same.  Each leaf amplitude is a product of one factor per level, so
+    its derivative in the angle of level l is (prefix above l) x (that
+    factor at t + pi, halved) x (product of the factors below l); leaves off
+    the angle's subtree stay 0.  The products below come from one running
+    product up the levels, and as each (leaf, level) pair names a distinct
+    angle, one fancy assignment fills the matrix.
+    In the brick wall each angle sits in one gate, so column j is half the
+    state with angle j's pair swapped to (-sin, cos), all columns from one
+    :func:`_brick_wall`; each entry is bitwise the tangent that forward mode
+    carries through the circuit, but for the sign of an exact zero.
     """
-    n = config.n_qubits
+    n, n_params = config.n_qubits, config.n_params
     half = theta / 2.0
     cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        trig = np.concatenate((_ONE, cos, sin))
-        factors = trig[_tree_index(n)]
-        return trig, factors, np.multiply.accumulate(factors, axis=0)
-    return cos, sin, [_brick_wall(config, cos[:, None], sin[:, None]).reshape(-1)]
+        index = _tree_index(n)
+        factors = np.concatenate((_ONE, cos, sin))[index]
+        amps = np.multiply.accumulate(factors, axis=0)
+        rows = index[1:]
+
+        def tree_jacobian() -> np.ndarray:
+            dim = 1 << n
+            # [0 | -sin/2 | cos/2]: each factor's derivative in its own angle
+            slopes = np.concatenate((_ZERO, sin / -2.0, cos / 2.0))
+            # row l: the product of the factors of the levels below l
+            below = np.concatenate((np.multiply.accumulate(factors[:1:-1], axis=0)[::-1],
+                                    np.ones((1, dim))))
+            jacobian = np.zeros((dim, n_params))
+            # rows - 1 is angle + P x branch, so the angle is its remainder mod P
+            jacobian[np.arange(dim), (rows - 1) % n_params] = amps[:-1] * slopes[rows] * below
+            return jacobian
+
+        return amps[-1], tree_jacobian
+
+    def wall_jacobian() -> np.ndarray:
+        # column j advances angle j by pi: (cos, sin) -> (-sin, cos), exactly
+        cos_cols, sin_cols = np.tile(cos[:, None], n_params), np.tile(sin[:, None], n_params)
+        np.fill_diagonal(cos_cols, -sin)
+        np.fill_diagonal(sin_cols, cos)
+        return _brick_wall(config, cos_cols, sin_cols) / 2.0
+
+    return _brick_wall(config, cos[:, None], sin[:, None]).reshape(-1), wall_jacobian
 
 
 def ansatz_state_vector(config: AnsatzConfig, theta: Sequence[float]) -> np.ndarray:
     """Real amplitude vector of the trial state, on the fast direct path."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != config.n_params:
-        raise ValueError(f"expected {config.n_params} parameters, got {theta.size}")
-    return _forward(config, theta)[2][-1]
+    return _trial(config, _theta(config, theta))[0]
 
 
 # ----------------------------------------------------------------------------
@@ -244,65 +284,6 @@ def _y_vector(y) -> np.ndarray:
     return y / norm
 
 
-def _exact_cost(matrix: np.ndarray, y: np.ndarray, v: np.ndarray) -> tuple:
-    """Exact cost at trial state ``v``, with the terms its gradient needs.
-
-    Returns ``(C, psi, r, d)`` for ``psi = S v``, ``d = psi . psi`` and the
-    residual ``r = psi - (y . psi) y``, where ``C = (r . r) / d``.  It equals
-    ``1 - (y . psi)^2 / d`` but keeps its digits near a solution, where that
-    difference of two numbers close to 1 cannot go below about 1e-16.
-    """
-    psi = matrix @ v
-    denom = float(psi @ psi)
-    if denom < 1e-280:
-        raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-    residual = psi - float(y @ psi) * y
-    cost = min(float(residual @ residual) / denom, 1.0)
-    return cost, psi, residual, denom
-
-
-def _state_jacobian(config: AnsatzConfig, forward: tuple) -> np.ndarray:
-    """Jacobian dv/dtheta of the trial state, as a ``(2^n, P)`` array, from
-    the forward pass ``forward`` of :func:`_forward`.
-
-    Both circuits rest on dRy(t)/dt = Ry(t + pi) / 2: the pair (cos(t/2), sin(t/2))
-    moves along (-sin(t/2), cos(t/2)) / 2, the pair at t + pi halved.
-    In the tree, each leaf amplitude is a product of one factor per level,
-    cos(t/2) or sin(t/2) of the angle on its path, so its derivative in the
-    angle of level l is (prefix above l) x (that factor at t + pi, halved)
-    x (product of the factors below l); leaves off the angle's subtree
-    stay 0.  The products below come from one running product up the
-    levels, and as each (leaf, level) pair names a distinct angle, one
-    fancy assignment fills the matrix.
-    In the brick wall each angle sits in one gate, so column j is half the
-    state with angle j's pair swapped to (-sin, cos), all columns from one
-    :func:`_brick_wall`; each entry is bitwise the tangent that forward mode
-    carries through the circuit, but for the sign of an exact zero.
-    """
-    n, n_params = config.n_qubits, config.n_params
-    dim = 1 << n
-    if config.kind == "tree":
-        trig, factors, amps = forward
-        index = _tree_index(n)[1:]
-        split = n_params + 1
-        # [0 | -sin/2 | cos/2]: each factor's derivative in its own angle
-        slopes = np.concatenate((_ZERO, trig[split:] / -2.0, trig[1:split] / 2.0))
-        # row l: the product of the factors of the levels below l
-        below = np.concatenate((np.multiply.accumulate(factors[:1:-1], axis=0)[::-1],
-                                np.ones((1, dim))))
-        jacobian = np.zeros((dim, n_params))
-        # index - 1 is angle + P x branch, so the angle is its remainder mod P
-        jacobian[np.arange(dim), (index - 1) % n_params] = amps[:-1] * slopes[index] * below
-        return jacobian
-
-    cos, sin, _ = forward
-    # column j advances angle j by pi: (cos, sin) -> (-sin, cos), exactly
-    cos_cols, sin_cols = np.tile(cos[:, None], n_params), np.tile(sin[:, None], n_params)
-    np.fill_diagonal(cos_cols, -sin)
-    np.fill_diagonal(sin_cols, cos)
-    return _brick_wall(config, cos_cols, sin_cols) / 2.0
-
-
 def _lcu_arrays(matrix: np.ndarray) -> tuple:
     """Coefficients, then the ``(T, 2**n)`` gather indices and signs of the
     terms of the Pauli LCU of ``matrix``: term l maps v to
@@ -312,40 +293,6 @@ def _lcu_arrays(matrix: np.ndarray) -> tuple:
     coeffs = lcu.coefficients()
     return (coeffs, *signed_permutations(lcu.terms, lcu.n_qubits),
             np.triu_indices(len(coeffs), 1))
-
-
-def _shots_cost(
-    lcu: tuple,
-    y: np.ndarray,
-    v: np.ndarray,
-    shots: int,
-    seed,
-) -> float:
-    """Sampled assembly of the global cost at trial state ``v`` from
-    Hadamard-test overlaps.
-
-    Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
-    G_lm = <0|V^dag A_l^dag A_m V|0> are all real because every unitary
-    involved is real, so one real-part test per pair suffices.  All of them
-    are drawn in one :func:`sim.sample_overlap` call seeded with ``seed``:
-    the gammas first, then the pairs l < m row by row.  The sampled pairs
-    fill both triangles of a unit-diagonal G, and the cost is
-    1 - (c . gamma)^2 / (c^T G c).
-    """
-    coeffs, cols, signs, pairs = lcu
-    phi = signs * v[cols]
-    n_terms = len(coeffs)
-    estimates = sim.sample_overlap(
-        np.concatenate([phi @ y, (phi @ phi.T)[pairs]]), shots, seed
-    )
-    gram = np.eye(n_terms)  # diagonal pairs are exactly 1
-    gram[pairs] = gram.T[pairs] = estimates[n_terms:]
-    numerator = float(coeffs @ estimates[:n_terms]) ** 2
-    denominator = float(coeffs @ gram @ coeffs)
-    if denominator <= 0.0:
-        # heavy shot noise can push the estimate out of range; clip hard
-        return 1.0
-    return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
 
 
 def check_mode(mode: str) -> None:
@@ -362,6 +309,88 @@ def check_invertible(matrix: np.ndarray) -> float:
     return cond
 
 
+def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
+    """Point function of the exact cost C = f . f, f = r / sqrt(d): a point
+    is one forward pass, and its thunk returns f and the Jacobian of f there.
+
+    With psi = S v, the cost is C = (r . r) / d for d = psi . psi and the
+    residual r = psi - (y . psi) y.  It equals 1 - (y . psi)^2 / d but keeps
+    its digits near a solution, where that difference of two numbers close
+    to 1 cannot go below about 1e-16.  With J_v the state's Jacobian, psi
+    moves along S J_v, the residual along P S J_v for the projector
+    P = I - y y^T, and sqrt(d) along psi^T S J_v / sqrt(d), so
+    J_f = (P S J_v - r (psi^T S J_v) / d) / sqrt(d).
+    """
+
+    def point(theta: np.ndarray) -> tuple:
+        state, state_jacobian = _trial(config, theta)
+        psi = matrix @ state
+        denom = float(psi @ psi)
+        if denom < 1e-280:
+            raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
+        residual = psi - float(y @ psi) * y
+
+        def jacobian() -> tuple:
+            moves = matrix @ state_jacobian()
+            projected = moves - np.outer(y, y @ moves)
+            scale = math.sqrt(denom)
+            return (residual / scale,
+                    (projected - np.outer(residual, (psi @ moves) / denom)) / scale)
+
+        return min(float(residual @ residual) / denom, 1.0), jacobian
+
+    return point
+
+
+def _shots_point(lcu: tuple, y: np.ndarray, config: AnsatzConfig, shots: int,
+                 seed: int | None) -> Callable:
+    """Point function of the sampled cost from the Hadamard-test overlaps of
+    the terms of ``lcu`` (:func:`_lcu_arrays`), every evaluation drawn from
+    the same ``seed``: its gradient thunk takes central differences of step
+    ``FD_STEP``, one coordinate and two costs at a time.
+
+    Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
+    G_lm = <0|V^dag A_l^dag A_m V|0> are all real because every unitary
+    involved is real, so one real-part test per pair suffices.  All of them
+    are drawn in one :func:`sim.sample_overlap` call seeded with ``seed``:
+    the gammas first, then the pairs l < m row by row.  The sampled pairs
+    fill both triangles of a unit-diagonal G, and the cost is
+    1 - (c . gamma)^2 / (c^T G c).
+    """
+    coeffs, cols, signs, pairs = lcu
+    n_terms = len(coeffs)
+
+    def cost(theta: np.ndarray) -> float:
+        phi = signs * _trial(config, theta)[0][cols]
+        estimates = sim.sample_overlap(
+            np.concatenate([phi @ y, (phi @ phi.T)[pairs]]), shots, seed
+        )
+        gram = np.eye(n_terms)  # diagonal pairs are exactly 1
+        gram[pairs] = gram.T[pairs] = estimates[n_terms:]
+        numerator = float(coeffs @ estimates[:n_terms]) ** 2
+        denominator = float(coeffs @ gram @ coeffs)
+        if denominator <= 0.0:
+            # heavy shot noise can push the estimate out of range; clip hard
+            return 1.0
+        return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
+
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        grad = np.empty_like(theta)
+        probe = theta.copy()
+        for i in range(theta.size):
+            probe[i] = theta[i] + FD_STEP
+            hi = cost(probe)
+            probe[i] = theta[i] - FD_STEP
+            grad[i] = (hi - cost(probe)) / (2.0 * FD_STEP)
+            probe[i] = theta[i]
+        return grad
+
+    def point(theta: np.ndarray) -> tuple:
+        return cost(theta), lambda: gradient(theta)
+
+    return point
+
+
 def cost_global(
     system,
     y,
@@ -372,12 +401,13 @@ def cost_global(
     seed: int | None = None,
 ) -> float:
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with
-    Y, the raw target vector ``y`` normalized."""
+    Y, the raw target vector ``y`` normalized.  It is the cost of the point
+    function that :func:`solve` minimizes in ``mode``."""
     check_mode(mode)
-    y, v = _y_vector(y), ansatz_state_vector(config, theta)
+    y, theta, matrix = _y_vector(y), _theta(config, theta), as_matrix(system)
     if mode == "exact":
-        return _exact_cost(as_matrix(system), y, v)[0]
-    return _shots_cost(_lcu_arrays(as_matrix(system)), y, v, shots, seed)
+        return _residual_point(matrix, y, config)(theta)[0]
+    return _shots_point(_lcu_arrays(matrix), y, config, shots, seed)(theta)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -398,10 +428,8 @@ class SolveConfig:
     def __post_init__(self):
         check_mode(self.mode)
         sim.check_shots(self.shots)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        for name, least in (("restarts", 1), ("max_iter", 1), ("seed", 0)):
+            sim.check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -436,58 +464,6 @@ class VqlsSolution:
     condition_number: float
     restarts: tuple
     optimizer: dict
-
-
-def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
-    """Point function of the exact cost C = f . f, f = r / sqrt(d): a point
-    is one forward pass, and its thunk returns f and the Jacobian of f there.
-
-    With psi = S v and J_v the state's Jacobian, psi moves along S J_v, the
-    residual along P S J_v for the projector P = I - y y^T, and sqrt(d)
-    along psi^T S J_v / sqrt(d), so
-    J_f = (P S J_v - r (psi^T S J_v) / d) / sqrt(d).
-    """
-
-    def point(theta: np.ndarray) -> tuple:
-        forward = _forward(config, theta)
-        cost, psi, residual, denom = _exact_cost(matrix, y, forward[2][-1])
-
-        def jacobian() -> tuple:
-            moves = matrix @ _state_jacobian(config, forward)
-            projected = moves - np.outer(y, y @ moves)
-            scale = math.sqrt(denom)
-            return (residual / scale,
-                    (projected - np.outer(residual, (psi @ moves) / denom)) / scale)
-
-        return cost, jacobian
-
-    return point
-
-
-def _shots_point(lcu: tuple, y: np.ndarray, config: AnsatzConfig, shots: int,
-                 seed: int) -> Callable:
-    """Point function of the sampled cost, every evaluation drawn from the
-    same ``seed``: its gradient thunk takes central differences of step
-    ``FD_STEP``, one coordinate and two costs at a time."""
-
-    def cost(theta: np.ndarray) -> float:
-        return _shots_cost(lcu, y, _forward(config, theta)[2][-1], shots, seed)
-
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(theta)
-        probe = theta.copy()
-        for i in range(theta.size):
-            probe[i] = theta[i] + FD_STEP
-            hi = cost(probe)
-            probe[i] = theta[i] - FD_STEP
-            grad[i] = (hi - cost(probe)) / (2.0 * FD_STEP)
-            probe[i] = theta[i]
-        return grad
-
-    def point(theta: np.ndarray) -> tuple:
-        return cost(theta), lambda: gradient(theta)
-
-    return point
 
 
 def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
@@ -617,9 +593,7 @@ def solve(
     cfg = config or SolveConfig()
     matrix = as_matrix(system)
     dim = matrix.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"system dimension must be a power of two >= 2, got {dim}")
+    n = sim.qubit_count(dim)
     condition_number = check_invertible(matrix)
     ans = ansatz or AnsatzConfig(n_qubits=n)
     if ans.n_qubits != n:

@@ -379,27 +379,32 @@ def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("config, env", [("ansatz=brick", None), ("layers=2", None),
-                                         ("degree=1", None), ("seed=-1", None), ("", "-1"),
-                                         ("mode=classical", None)],
+@pytest.mark.parametrize("command, config, env",
+                         [("fit", "ansatz=brick", None), ("fit", "layers=2", None),
+                          ("fit", "degree=1", None), ("fit", "seed=-1", None),
+                          ("fit", "", "-1"), ("fit", "mode=classical", None),
+                          ("fit", "out=a\0b", None), ("bench", "out=a\0b", None)],
                          ids=["ansatz-word", "layers-key", "degree-key", "seed-config",
-                              "seed-env", "mode-classical"])
+                              "seed-env", "mode-classical", "out-nul-fit", "out-nul-bench"])
 def test_bad_settings_from_a_file_or_the_environment_are_usage_errors(
-        tmp_path, capsys, monkeypatch, config, env):
+        tmp_path, capsys, monkeypatch, command, config, env):
     if env is None:
         monkeypatch.delenv("QSPLINE_SEED", raising=False)
     else:
         monkeypatch.setenv("QSPLINE_SEED", env)
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "\n")
-    out = tmp_path / "out"
-    rc = cli.main(["fit", "--function", "sin", "--knots", "2", "--config", str(cfg),
-                   "--out", str(out)])
+    source = ["--function", "sin"] if command == "fit" else []
+    # an --out flag would win over the file's out
+    out = [] if config.startswith("out=") else ["--out", "out"]
+    rc = cli.main([command, *source, "--knots", "2", "--config", str(cfg), *out])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("error:") and "Traceback" not in "\n".join(err)
     assert sum(line.startswith("error:") for line in err) == 1
-    assert not out.exists()
+    # refused before any fit, so nothing was written
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_unwritable_output_is_an_io_error(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspline import sim
+from qspline import decomp, sim, vqls
 
 
 def test_gate_rejects_non_unitary():
@@ -75,6 +75,20 @@ def test_encode_rejects_zero_and_bad_sizes():
         sim.amplitude_encode([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         sim.amplitude_encode(np.array([1.0 + 1.0j, 0.0]))
+
+
+def test_a_register_size_is_a_power_of_two_of_at_least_two():
+    assert [sim.qubit_count(size) for size in (2, 4, 64)] == [1, 2, 6]
+    # the encoder, its angles, the decomposition and the solver share the one
+    # rule and its message
+    for size in (1, 3, 6):
+        message = f"register size must be a power of two >= 2, got {size}"
+        for refuse in (lambda: sim.amplitude_encode(np.arange(1.0, size + 1.0)),
+                       lambda: sim.tree_angles(np.ones(size)),
+                       lambda: decomp.pauli_decompose(np.eye(size)),
+                       lambda: vqls.solve(np.eye(size), np.ones(size))):
+            with pytest.raises(ValueError, match=message):
+                refuse()
 
 
 @given(

@@ -48,6 +48,28 @@ def test_config_validation():
     for shots in (0, 2**63, True):
         with pytest.raises(ValueError, match="positive shot count"):
             vqls.SolveConfig(mode="shots", shots=shots)
+    # counts are integers, numpy's too, and a bool is not one
+    for name, value in [("restarts", 2.5), ("restarts", 0), ("restarts", True),
+                        ("max_iter", 2.5), ("max_iter", 0), ("max_iter", np.float64(3.0)),
+                        ("seed", True), ("seed", -1), ("seed", 1.0)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+            vqls.SolveConfig(**{name: value})
+    vqls.SolveConfig(restarts=np.int64(2), max_iter=np.int32(3), seed=np.uint8(0))
+
+
+def test_fit_config_takes_integer_counts_only():
+    for name, value in [("knots", 16.0), ("knots", True), ("restarts", 2.5),
+                        ("max_iter", 2.5), ("seed", True), ("seed", -1)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least"):
+            pipeline.FitConfig(function="sin", **{name: value})
+    with pytest.raises(ValueError, match="knots must be one of"):
+        pipeline.FitConfig(function="sin", knots=np.int64(12))
+    # a numpy integer is taken, and kept as the plain int the JSON report needs
+    config = pipeline.FitConfig(function="sin", knots=np.int64(4), seed=np.int64(3),
+                                restarts=np.int32(1), max_iter=np.int64(5), shots=np.int64(9))
+    assert [type(getattr(config, name)) for name in
+            ("knots", "seed", "restarts", "max_iter", "shots")] == [int] * 5
+    assert config.solver()[1].n_qubits == 2
 
 
 def test_zero_parameters_prepare_the_zero_state():
@@ -213,15 +235,21 @@ def _reference_state(config, theta):
     return vec
 
 
-def _reference_cost(matrix, y, config, theta):
-    """Single-point exact cost: ``S @ v``, ``psi @ psi``, the residual
-    ``psi - (y @ psi) y`` and its squared norm over ``psi @ psi``."""
-    psi = matrix @ _reference_state(config, theta)
+def _reference_terms(matrix, y, v):
+    """Single-point exact cost at state ``v`` and its terms ``(C, psi, r, d)``:
+    ``psi = S @ v``, ``d = psi @ psi``, the residual ``r = psi - (y @ psi) y``
+    and ``C``, its squared norm over ``d``."""
+    psi = matrix @ v
     denom = float(psi @ psi)
     if denom < 1e-280:
         raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
     residual = psi - float(y @ psi) * y
-    return min(float(residual @ residual) / denom, 1.0)
+    return min(float(residual @ residual) / denom, 1.0), psi, residual, denom
+
+
+def _reference_cost(matrix, y, config, theta):
+    """Single-point exact cost at the reference state of ``theta``."""
+    return _reference_terms(matrix, y, _reference_state(config, theta))[0]
 
 
 def _reference_gradient(f, theta, step):
@@ -244,18 +272,22 @@ def _elu_system(knots, kind):
     return matrix, y / np.linalg.norm(y), config
 
 
-def _counting(monkeypatch, *names):
-    """Wrap each named ``vqls`` function so that its calls are counted."""
-    calls = dict.fromkeys(names, 0)
+def _counting_trials(monkeypatch):
+    """Count the calls of ``vqls._trial`` and of the Jacobian thunks it returns."""
+    calls = {"_trial": 0, "jacobian": 0}
+    trial = vqls._trial
 
-    def wrap(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+    def counted(config, theta):
+        calls["_trial"] += 1
+        state, jacobian = trial(config, theta)
 
-    for name in names:
-        monkeypatch.setattr(vqls, name, wrap(name, getattr(vqls, name)))
+        def counted_jacobian():
+            calls["jacobian"] += 1
+            return jacobian()
+
+        return state, counted_jacobian
+
+    monkeypatch.setattr(vqls, "_trial", counted)
     return calls
 
 
@@ -265,20 +297,17 @@ def test_batched_objective_equals_the_per_point_formula(knots, kind, monkeypatch
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 
-    states = np.array([vqls._forward(config, t)[2][-1] for t in thetas])
+    states = np.array([vqls._trial(config, t)[0] for t in thetas])
     want_states = np.array([_reference_state(config, t) for t in thetas])
     assert states.tobytes() == want_states.tobytes()
 
-    costs = np.array([vqls._exact_cost(matrix, y, v)[0] for v in states])
-    want = np.array([_reference_cost(matrix, y, config, t) for t in thetas])
-    assert costs.tobytes() == want.tobytes()
-
     point = vqls._residual_point(matrix, y, config)
-    calls = _counting(monkeypatch, "_forward", "_state_jacobian")
-    for theta, cost in zip(thetas, want):
-        assert point(theta)[0] == cost
+    want = np.array([_reference_cost(matrix, y, config, t) for t in thetas])
+    calls = _counting_trials(monkeypatch)
+    costs = np.array([point(t)[0] for t in thetas])
+    assert costs.tobytes() == want.tobytes()
     # one forward pass per point, and no Jacobian until one is asked for
-    assert calls == {"_forward": len(thetas), "_state_jacobian": 0}
+    assert calls == {"_trial": len(thetas), "jacobian": 0}
 
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
@@ -290,17 +319,17 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
     thetas = np.random.default_rng(100 + knots).uniform(0.0, 2.0 * np.pi, (4, config.n_params))
     point = vqls._residual_point(matrix, y, config)
     for theta, elsewhere in zip(thetas, thetas[::-1]):
-        forward = vqls._forward(config, theta)
+        state, state_jacobian = vqls._trial(config, theta)
         # the Jacobian's forward pass builds the reference state
-        assert forward[2][-1].tobytes() == _reference_state(config, theta).tobytes()
-        jacobian = vqls._state_jacobian(config, forward)
+        assert state.tobytes() == _reference_state(config, theta).tobytes()
+        jacobian = state_jacobian()
         want_jacobian = np.column_stack([
             (_reference_state(config, theta + vqls.FD_STEP * e)
              - _reference_state(config, theta - vqls.FD_STEP * e)) / (2.0 * vqls.FD_STEP)
             for e in np.eye(theta.size)])
         assert np.max(np.abs(jacobian - want_jacobian)) <= 1e-8
 
-        calls = _counting(monkeypatch, "_forward", "_state_jacobian")
+        calls = _counting_trials(monkeypatch)
         cost, residual_jacobian = point(theta)
         assert cost == _reference_cost(matrix, y, config, theta)
         # a thunk builds the Jacobian at its own point, whatever point came
@@ -315,7 +344,7 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         again = residual_jacobian()
         assert again[0].tobytes() == f.tobytes() and again[1].tobytes() == jac.tobytes()
         # each point is one forward pass and each thunk call one Jacobian
-        assert calls == {"_forward": 2, "_state_jacobian": 3}
+        assert calls == {"_trial": 2, "jacobian": 3}
         monkeypatch.undo()
 
 
@@ -353,13 +382,13 @@ def test_tree_sweep_matches_the_level_by_level_recursion(knots):
         pinned = rng.random(theta.size) < 0.35
         theta[pinned] = rng.choice([0.0, np.pi, 2.0 * np.pi], pinned.sum())
     for theta in thetas:
-        forward = vqls._forward(config, theta)
-        terms = vqls._exact_cost(matrix, y, forward[2][-1])
+        state, state_jacobian = vqls._trial(config, theta)
+        terms = _reference_terms(matrix, y, state)
         want = _reference_tree_gradient(matrix, theta, terms)
         # the sweep's gradient is dC/dv pulled back through the state's Jacobian
         cost, psi, residual, denom = terms
         pulled = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
-        got = pulled @ vqls._state_jacobian(config, forward)
+        got = pulled @ state_jacobian()
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -401,10 +430,10 @@ def test_brick_wall_jacobian_is_the_forward_mode_recursion(n_qubits):
         pinned = rng.random(theta.size) < 0.35
         theta[pinned] = rng.choice([0.0, np.pi, 2.0 * np.pi], pinned.sum())
     for k, theta in enumerate(thetas):
-        forward = vqls._forward(config, theta)
+        state, state_jacobian = vqls._trial(config, theta)
         want_state, want = _forward_mode_jacobian(config, theta)
-        got = vqls._state_jacobian(config, forward)
-        assert forward[2][-1].tobytes() == want_state.tobytes()
+        got = state_jacobian()
+        assert state.tobytes() == want_state.tobytes()
         if k % 2 == 0:
             assert got.tobytes() == want.tobytes()
         # an exact zero may differ in sign: the walk's -(s lo) - c hi is +0
@@ -427,12 +456,39 @@ def test_shots_point_equals_single_point_costs(kind, monkeypatch):
     assert [point(t)[0] for t in thetas] == [single(t) for t in thetas]
 
     # a point is one sampled cost, and its central-difference gradient 2P more
-    calls = _counting(monkeypatch, "_shots_cost")
+    draws, sample_overlap = [], sim.sample_overlap
+    monkeypatch.setattr(sim, "sample_overlap",
+                        lambda *args: draws.append(args) or sample_overlap(*args))
     cost, gradient = point(thetas[0])
     grad = gradient()
-    assert calls == {"_shots_cost": 2 * config.n_params + 1}
+    assert len(draws) == 2 * config.n_params + 1
     assert grad.tobytes() == _reference_gradient(single, thetas[0], vqls.FD_STEP).tobytes()
     assert cost == single(thetas[0])
+
+
+def test_a_sampled_denominator_that_is_not_positive_reads_cost_one(monkeypatch):
+    # at one shot every overlap estimate is +1 or -1, and on the scaled K = 4
+    # system the sampled c^T G c comes out negative or exactly 0 in about one
+    # draw in five; the cost then reads 1, the top of its range, and 0 does
+    # not reach the division
+    matrix, config = _spline_system(4).entries, vqls.AnsatzConfig(n_qubits=2)
+    r, c = bidiagonal_scaling(matrix)
+    matrix, y = r[:, None] * matrix * c, r * _normalized_target("sin", 4)
+    coeffs, _, _, pairs = vqls._lcu_arrays(matrix)
+    n_terms = len(coeffs)
+    draws, sample_overlap = [], sim.sample_overlap
+    monkeypatch.setattr(sim, "sample_overlap",
+                        lambda *args: draws.append(sample_overlap(*args)) or draws[-1])
+    denominators = []
+    for seed in range(60):
+        theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, config.n_params)
+        cost = vqls.cost_global(matrix, y, config, theta, mode="shots", shots=1, seed=seed)
+        gram = np.eye(n_terms)
+        gram[pairs] = gram.T[pairs] = draws[-1][n_terms:]
+        denominators.append(float(coeffs @ gram @ coeffs))
+        if denominators[-1] <= 0.0:
+            assert cost == 1.0
+    assert min(denominators) < 0.0 and 0.0 in denominators
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])
@@ -450,15 +506,13 @@ def test_a_vanishing_row_raises_the_singular_error(row, monkeypatch):
     for i, theta in enumerate(thetas):
         if i != row:
             point(theta)[1]()
-    with pytest.raises(ValueError, match=message):
-        vqls._exact_cost(matrix, y, vqls._forward(config, thetas[row])[2][-1])
-    # the cost raises before a Jacobian thunk exists, so the loop stops at once
-    calls = _counting(monkeypatch, "_state_jacobian")
+    # the cost raises before a Jacobian thunk is returned, so the loop stops at once
+    calls = _counting_trials(monkeypatch)
     with pytest.raises(ValueError, match=message):
         point(thetas[row])
     with pytest.raises(ValueError, match=message):
         vqls._levenberg_marquardt(point, thetas[row], 5)
-    assert calls == {"_state_jacobian": 0}
+    assert calls == {"_trial": 2, "jacobian": 0}
     with pytest.raises(ValueError, match=message):
         vqls.cost_global(matrix, y, config, thetas[row])
 
@@ -469,11 +523,11 @@ def test_solve_builds_each_point_once(kind, monkeypatch):
     # pass at an accepted point, so cost_rows - gradients counts the points;
     # the one more forward pass is the best restart's beta_state
     matrix, y, config = _elu_system(8, kind)
-    calls = _counting(monkeypatch, "_forward", "_state_jacobian")
+    calls = _counting_trials(monkeypatch)
     solution = vqls.solve(matrix, y, vqls.SolveConfig(restarts=2, max_iter=30), config)
     evaluations = solution.evaluations
-    assert calls == {"_forward": evaluations["cost_rows"] - evaluations["gradients"] + 1,
-                     "_state_jacobian": evaluations["gradients"]}
+    assert calls == {"_trial": evaluations["cost_rows"] - evaluations["gradients"] + 1,
+                     "jacobian": evaluations["gradients"]}
     # a Jacobian at the start and after each accepted step: the one restart
     # reached STOP_COST within 30 Jacobians, so its loop ended on no descent
     # after taking the end point's Jacobian
@@ -631,6 +685,33 @@ def test_levenberg_marquardt_raises_the_damping_until_no_trial_moves_theta():
     assert np.array(taken[1:]).tobytes() == np.array(want).tobytes()
 
 
+def test_levenberg_marquardt_counts_a_singular_damped_system_as_a_rejected_trial():
+    # J^T J = 1e20 [[1, 1], [1, 1]], and 1e20 + lam rounds back to 1e20 until
+    # lam reaches half its spacing, 8192: each damped system below that is
+    # exactly singular, and each raises the damping as a rejected trial would
+    theta0, jac = np.zeros(2), np.array([[1e10, 1e10]])
+    taken = []
+
+    def point(x):
+        taken.append(x)
+        f = 1.0 + jac @ x  # a linear residual, 1 at theta0
+        return float(f @ f), lambda: (f, jac)
+
+    _, cost, trace, reason, points, jacobians = vqls._levenberg_marquardt(point, theta0, 1)
+    normal, grad, damping = jac.T @ jac, jac.T @ np.ones(1), vqls.DAMPING_START
+    while True:
+        try:
+            want = theta0 + np.linalg.solve(normal + damping * np.eye(2), -grad)
+        except np.linalg.LinAlgError:
+            damping *= vqls.DAMPING_UP
+        else:
+            break
+    assert damping >= 8192.0  # the solve raised on every trial before this one
+    # no singular trial built a point, and the first solvable one moved theta
+    assert points == len(taken) == 2 and taken[1].tobytes() == want.tobytes()
+    assert reason == "max_iter" and jacobians == 1 and cost == trace[1] < trace[0] == 1.0
+
+
 def _frozen_bfgs(point, theta0, max_iter):
     """The BFGS loop before its stale-H reset, frozen: np.outer for the
     rank-one terms and np.isfinite for the gradient check."""
@@ -681,10 +762,10 @@ def test_bfgs_update_is_bitwise_the_frozen_loop_on_a_quadratic():
     assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
 
 
-def _adjoint_sweep(matrix, config, forward, terms):
+def _adjoint_sweep(matrix, config, theta, terms):
     """Gradient of the exact cost on the rotation tree in one backward sweep
-    over the forward pass ``forward`` of ``vqls._forward``, whose state has
-    the cost terms ``terms`` of ``vqls._exact_cost``.
+    over the forward pass at ``theta``, whose state has the cost terms
+    ``terms`` of ``_reference_terms``.
 
     The sweep starts from g = dC/dv = S^T (2/d)(r - C psi).  Each leaf
     amplitude is a product of one factor per level, cos(t/2) or sin(t/2) of
@@ -696,13 +777,18 @@ def _adjoint_sweep(matrix, config, forward, terms):
     """
     cost, psi, residual, denom = terms
     g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
-    trig, factors, amps = forward
+    # the forward pass: [1 | cos | sin] of the half angles, their gather into
+    # one factor per level and leaf, and the running product down the levels
+    trig = np.concatenate(([1.0], np.cos(theta / 2.0), np.sin(theta / 2.0)))
+    index = vqls._tree_index(config.n_qubits)
+    factors = trig[index]
+    amps = np.multiply.accumulate(factors, axis=0)
     # row k: g times the factors of the k deepest levels, so reversed,
     # row l is g times the factors below level l
     below = np.concatenate((g[None], factors[:1:-1]))
     np.multiply.accumulate(below, axis=0, out=below)
     # summed into the bins of trig: u_L at each cosine, u_R at each sine
-    sums = np.bincount(vqls._tree_index(config.n_qubits)[1:].ravel(),
+    sums = np.bincount(index[1:].ravel(),
                        (amps[:-1] * below[::-1]).ravel(), minlength=trig.size)
     split = config.n_params + 1
     return (trig[1:split] * sums[split:] - trig[split:] * sums[1:split]) / 2.0
@@ -722,9 +808,8 @@ def test_bfgs_does_not_walk_the_rounding_floor_on_a_stale_h(function, restart):
     def point(theta):
         # the exact cost, with the adjoint sweep's gradient: on these starts
         # the rounding of 2 J_f^T f happens not to call for the reset
-        forward = vqls._forward(config, theta)
-        terms = vqls._exact_cost(matrix, y, forward[2][-1])
-        return terms[0], lambda: _adjoint_sweep(matrix, config, forward, terms)
+        terms = _reference_terms(matrix, y, vqls._trial(config, theta)[0])
+        return terms[0], lambda: _adjoint_sweep(matrix, config, theta, terms)
 
     _, cost, trace, reason, *_ = vqls._bfgs(point, theta0, vqls.MAX_ITER)
     assert cost < 1e-26 and reason == "no descent"

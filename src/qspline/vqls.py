@@ -30,9 +30,9 @@ generator.  The noise is frozen per restart so a run is reproducible and
 the optimizer sees a fixed landscape; its gradient is a central
 difference, taken one coordinate at a time, and each restart runs one
 BFGS loop.
-V(theta) is a rotation tree or a brick wall of CZ and Ry layers at a depth
-fixed by the qubit count; :func:`ansatz_ops` lists its gates, which the
-tests run against the shots cost.
+V(theta) is a rotation tree, or a brick wall of CZ and Ry layers with at
+least twice the tree's 2^n - 1 angles; :func:`ansatz_ops` lists its gates,
+which the tests run against the shots cost.
 The solver checks its own settings (:class:`SolveConfig`, :class:`AnsatzConfig`)
 and says what it ran: ``VqlsSolution.optimizer``, :meth:`AnsatzConfig.record`
 and ``SEEDING``.
@@ -67,11 +67,6 @@ MODES = ("exact", "shots")  # the cost from matrix algebra, or sampled from Hada
 KINDS = ("tree", "layered")  # the trial-state circuits of AnsatzConfig
 ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... in turn
 
-# Smallest brick-wall depth at which theta -> V(theta)|0> has Jacobian rank
-# 2^n - 1, the dimension of the real unit sphere, at generic theta.  Measured;
-# 2n - 3 fits up to n = 5 only.  Six qubits (K = 64) is the CLI's ceiling.
-_FULL_RANK_LAYERS = {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 12}
-
 # settings of the optimizer loops: Levenberg-Marquardt in exact mode, BFGS in shots mode
 MAX_ITER = 10_000  # default cap on the Jacobians or BFGS iterations of one restart
 FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
@@ -95,24 +90,26 @@ class AnsatzConfig:
     ``layered`` is a brick wall: Ry on every qubit, then :attr:`layers`
     layers of [CZ on pairs (0,1), (2,3), ... in even layers and (1,2),
     (3,4), ... in odd ones, Ry on every qubit]; its real rotations sweep
-    real unit vectors.
+    real unit vectors.  Its depth is the smallest with n(L + 1) >= 2(2^n - 1)
+    angles, twice the real unit sphere's dimension: past the rank's saturation
+    spurious minima fade (Larocca et al., Nat. Comput. Sci. 3, 542, 2023).
     """
 
     n_qubits: int
     kind: str = "tree"  # one of KINDS
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        sim.check_count("n_qubits", self.n_qubits, 1)
         if self.kind not in KINDS:
             raise ValueError(f"unknown ansatz kind {self.kind!r}; pick one of {', '.join(KINDS)}")
-        if self.kind == "layered" and self.n_qubits not in _FULL_RANK_LAYERS:
-            raise ValueError(f"layered ansatz spans at most {max(_FULL_RANK_LAYERS)} qubits")
+        # a numpy integer passes the check; the depth's shift and the JSON report take an int
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
 
     @property
     def layers(self) -> int | None:
         """Entangling layers of the layered circuit; None for the tree."""
-        return _FULL_RANK_LAYERS[self.n_qubits] if self.kind == "layered" else None
+        n = self.n_qubits
+        return -(-2 * ((1 << n) - 1) // n) - 1 if self.kind == "layered" else None
 
     @property
     def n_params(self) -> int:
@@ -187,14 +184,16 @@ def _brick_wall(config: AnsatzConfig, cos: np.ndarray, sin: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=16)
-def _tree_index(n_qubits: int) -> np.ndarray:
-    """Index table of the rotation tree into ``[1 | cos | sin]`` of its half
-    angles, as a read-only ``(n + 1, 2^n)`` array.
+def _tree_index(n_qubits: int) -> tuple:
+    """Index tables of the rotation tree, read-only: its ``(n + 1, 2^n)``
+    gather into ``[1 | cos | sin]`` of its half angles, and the ``(n, 2^n)``
+    flat positions of the gathered factors in its ``(2^n, P)`` Jacobian.
 
-    Row 0 picks the 1; row l + 1 picks, for each leaf, the factor that
-    level l contributes on the leaf's path: for the angle of node
-    ``leaf >> (n - l)`` of that level, its cosine where bit n - 1 - l of the
-    leaf is 0 and its sine where it is 1.
+    Row 0 of the gather picks the 1; row l + 1 picks, for each leaf, the
+    factor that level l contributes on the leaf's path: for the angle of
+    node ``leaf >> (n - l)`` of that level, its cosine where bit n - 1 - l
+    of the leaf is 0 and its sine where it is 1.  That factor's position is
+    leaf x P plus its angle.
     """
     n, dim = n_qubits, 1 << n_qubits
     leaves = np.arange(dim)
@@ -203,8 +202,9 @@ def _tree_index(n_qubits: int) -> np.ndarray:
     branch = (leaves >> (n - 1 - level)) & 1
     index = np.zeros((n + 1, dim), dtype=np.intp)
     index[1:] = 1 + angle + (dim - 1) * branch
-    index.flags.writeable = False
-    return index
+    cells = leaves * (dim - 1) + angle
+    index.flags.writeable = cells.flags.writeable = False
+    return index, cells
 
 
 _ONE, _ZERO = np.ones(1), np.zeros(1)
@@ -237,7 +237,7 @@ def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
     half = theta / 2.0
     cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        index = _tree_index(n)
+        index, cells = _tree_index(n)
         factors = np.concatenate((_ONE, cos, sin))[index]
         amps = np.multiply.accumulate(factors, axis=0)
         rows = index[1:]
@@ -249,10 +249,9 @@ def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
             # row l: the product of the factors of the levels below l
             below = np.concatenate((np.multiply.accumulate(factors[:1:-1], axis=0)[::-1],
                                     np.ones((1, dim))))
-            jacobian = np.zeros((dim, n_params))
-            # rows - 1 is angle + P x branch, so the angle is its remainder mod P
-            jacobian[np.arange(dim), (rows - 1) % n_params] = amps[:-1] * slopes[rows] * below
-            return jacobian
+            jacobian = np.zeros(dim * n_params)
+            jacobian[cells] = amps[:-1] * slopes[rows] * below
+            return jacobian.reshape(dim, n_params)
 
         return amps[-1], tree_jacobian
 
@@ -332,10 +331,10 @@ def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> 
 
         def jacobian() -> tuple:
             moves = matrix @ state_jacobian()
-            projected = moves - np.outer(y, y @ moves)
+            projected = moves - y[:, None] * (y @ moves)
             scale = math.sqrt(denom)
             return (residual / scale,
-                    (projected - np.outer(residual, (psi @ moves) / denom)) / scale)
+                    (projected - residual[:, None] * ((psi @ moves) / denom)) / scale)
 
         return min(float(residual @ residual) / denom, 1.0), jacobian
 

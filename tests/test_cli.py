@@ -95,8 +95,8 @@ def test_layered_fit_sidecar_reports_the_derived_depth(tmp_path):
                    "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "fit_sin_K8_seed42.json").read_text())
-    assert payload["ansatz"] == {"kind": "layered", "n_qubits": 3, "layers": 3,
-                                 "entangler": "brick-cz", "n_params": 12}
+    assert payload["ansatz"] == {"kind": "layered", "n_qubits": 3, "layers": 4,
+                                 "entangler": "brick-cz", "n_params": 15}
 
 
 def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):

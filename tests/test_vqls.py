@@ -1,5 +1,6 @@
 """Variational solver tests: ansatz circuits, cost, and the optimizer loop."""
 
+import json
 import math
 
 import numpy as np
@@ -23,23 +24,29 @@ def _normalized_target(name, knots):
 
 def test_parameter_counts():
     layered = vqls.AnsatzConfig(n_qubits=4, kind="layered")
-    assert layered.layers == 5
-    assert layered.n_params == 24
+    assert layered.layers == 7
+    assert layered.n_params == 32
     tree = vqls.AnsatzConfig(n_qubits=4)
     assert tree.kind == "tree"
     assert tree.layers is None
     assert tree.n_params == 15
-    assert vqls.AnsatzConfig(n_qubits=1, kind="layered").n_params == 1
+    assert vqls.AnsatzConfig(n_qubits=1, kind="layered").n_params == 2
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        vqls.AnsatzConfig(n_qubits=0)
+    for n_qubits in (0, 2.0, 2.5, True):
+        for kind in vqls.KINDS:
+            with pytest.raises(ValueError, match="n_qubits must be an integer of at least 1"):
+                vqls.AnsatzConfig(n_qubits=n_qubits, kind=kind)
     with pytest.raises(ValueError):
         vqls.AnsatzConfig(n_qubits=2, kind="brick")
-    with pytest.raises(ValueError, match="at most 6 qubits"):
-        vqls.AnsatzConfig(n_qubits=7, kind="layered")
+    # the depth rule has no ceiling: seven qubits take 36 layers
+    assert vqls.AnsatzConfig(n_qubits=7, kind="layered").n_params == 7 * 37
     assert vqls.AnsatzConfig(n_qubits=7).n_params == 127
+    # a numpy integer is taken, and kept as the plain int the JSON report needs
+    record = vqls.AnsatzConfig(n_qubits=np.int64(2), kind="layered").record()
+    assert type(record["n_qubits"]) is int
+    assert json.loads(json.dumps(record))["n_params"] == 6
     with pytest.raises(ValueError):
         vqls.SolveConfig(mode="approximate")
     with pytest.raises(ValueError, match="unknown mode 'approximate'; pick one of exact, shots"):
@@ -780,7 +787,7 @@ def _adjoint_sweep(matrix, config, theta, terms):
     # the forward pass: [1 | cos | sin] of the half angles, their gather into
     # one factor per level and leaf, and the running product down the levels
     trig = np.concatenate(([1.0], np.cos(theta / 2.0), np.sin(theta / 2.0)))
-    index = vqls._tree_index(config.n_qubits)
+    index = vqls._tree_index(config.n_qubits)[0]
     factors = trig[index]
     amps = np.multiply.accumulate(factors, axis=0)
     # row k: g times the factors of the k deepest levels, so reversed,
@@ -908,37 +915,35 @@ def test_solve_is_deterministic():
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 7))
-def test_layered_depth_is_the_smallest_with_full_jacobian_rank(n_qubits, monkeypatch):
-    def ranks():
-        """Rank of d v / d theta at three seeded points, from the trial states
-        of their shifted probes.  Each angle enters one Ry(t) = exp(-i t Y / 2), so half the
-        difference of the states at t +/- pi/2 is the exact derivative, and
-        the missing directions show as singular values at rounding level."""
-        config = vqls.AnsatzConfig(n_qubits=n_qubits, kind="layered")
-        p = config.n_params
-        thetas = np.random.default_rng(n_qubits).uniform(0.0, 2.0 * np.pi, (3, p))
-        shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])  # rows +e_i, -e_i
-        probes = (thetas[:, None, :] + shifts[None]).reshape(-1, p)
-        states = np.array([vqls.ansatz_state_vector(config, t) for t in probes])
-        states = states.reshape(3, p, 2, -1)
-        sv = np.linalg.svd((states[:, :, 0] - states[:, :, 1]) / 2.0, compute_uv=False)
-        return (sv > 1e-10 * sv[:, :1]).sum(axis=1).tolist()
-
+def test_layered_depth_reaches_full_jacobian_rank(n_qubits):
+    # the rank of d v / d theta at three seeded points, from the trial states
+    # of their shifted probes: each angle enters one Ry(t) = exp(-i t Y / 2), so
+    # half the difference of the states at t +/- pi/2 is the exact derivative,
+    # and missing directions would show as singular values at rounding level
+    config = vqls.AnsatzConfig(n_qubits=n_qubits, kind="layered")
+    p = config.n_params
+    thetas = np.random.default_rng(n_qubits).uniform(0.0, 2.0 * np.pi, (3, p))
+    shifts = np.kron(np.eye(p), [[np.pi / 2], [-np.pi / 2]])  # rows +e_i, -e_i
+    probes = (thetas[:, None, :] + shifts[None]).reshape(-1, p)
+    states = np.array([vqls.ansatz_state_vector(config, t) for t in probes])
+    states = states.reshape(3, p, 2, -1)
+    sv = np.linalg.svd((states[:, :, 0] - states[:, :, 1]) / 2.0, compute_uv=False)
     full = (1 << n_qubits) - 1  # the real unit sphere's dimension
-    assert ranks() == [full] * 3
-    if n_qubits >= 2:
-        depth = vqls._FULL_RANK_LAYERS[n_qubits]
-        monkeypatch.setitem(vqls._FULL_RANK_LAYERS, n_qubits, depth - 1)
-        assert max(ranks()) < full
+    assert (sv > 1e-10 * sv[:, :1]).sum(axis=1).tolist() == [full] * 3
 
 
 def test_layered_ansatz_solves_small_systems_too():
     # at K = 4 (two qubits) a brick wall and a CZ chain are the same circuit;
-    # from K = 8 on only the brick wall reaches every real state
-    for name in sorted(TARGETS):
-        rep = pipeline.fit(pipeline.FitConfig(function=name, knots=8, ansatz="layered"))
-        assert rep.converged, name
-        assert rep.nrmse <= 1e-5, (name, rep.nrmse)
+    # from K = 8 on only the brick wall reaches every real state.  At K = 32
+    # the depth of full Jacobian rank (7 layers, 40 angles) left sin, among
+    # others, at cost 2.8e-12 but NRMSE 0.78; with twice the sphere's
+    # dimension in angles (12 layers, 65) every fit lands in its first restart
+    for knots, bound in ((8, 1e-5), (32, 1e-6)):
+        for name in sorted(TARGETS):
+            rep = pipeline.fit(pipeline.FitConfig(function=name, knots=knots,
+                                                  ansatz="layered"))
+            assert rep.converged and rep.restarts_used == 1, (knots, name)
+            assert rep.nrmse <= bound, (knots, name, rep.nrmse)
 
 
 def test_solve_validates_inputs():

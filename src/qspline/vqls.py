@@ -20,7 +20,9 @@ residual ``r = psi - (Y . psi) Y``: the same number without the
 cancellation of ``1 - ...`` near a solution.  That makes C = f . f for
 f = r / sqrt(d), a least-squares cost whose minimum is 0, so each restart
 runs Levenberg-Marquardt steps (Levenberg, 1944; Marquardt, 1963) built
-from the Jacobian of f, which follows from J_v.
+from the Jacobian of f, which follows from J_v, until the cost is at its
+rounding floor len(f) eps^2 (``"floor"``), where float64 cannot tell it
+from 0.
 Shots mode (:func:`_shots_point`) assembles the cost from the overlaps that
 Hadamard tests over pairs of terms of an LCU decomposition of S estimate:
 the term states A_l V|0>, each Pauli string a signed gather of V|0>, give
@@ -442,10 +444,12 @@ class VqlsSolution:
     rows of a central difference in shots mode.  ``gradients`` counts the
     Jacobians of the Levenberg-Marquardt loop in exact mode and the
     gradients of the BFGS loop in shots mode.  ``stop_reason`` is why the
-    loop stopped: ``"no descent"`` (no step lowered the cost: in exact mode
-    a trial rounded back to theta or the damping passed ``DAMPING_CEILING``,
-    as at the float floor; in shots mode a zero gradient, or no step size)
-    or ``"max_iter"``.  The fit report, not the solver, judges the fit.
+    loop stopped: ``"floor"`` (exact mode only: the cost reached its
+    rounding floor len(f) eps^2, for eps the float64 epsilon), ``"no
+    descent"`` (no step lowered the cost: in exact mode a trial rounded
+    back to theta or the damping passed ``DAMPING_CEILING``; in shots mode
+    a zero gradient, or no step size) or ``"max_iter"``.  The fit report,
+    not the solver, judges the fit.
     ``evaluations`` sums the two counts over every restart, and
     ``cost_trace`` is the best restart's.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
@@ -539,20 +543,28 @@ def _levenberg_marquardt(point: Callable, theta0: np.ndarray, max_iter: int) -> 
     by ``DAMPING_DOWN`` after each accepted step, to no less than
     ``DAMPING_FLOOR``.  ``point(x)`` returns the cost at x and a thunk for
     ``(f, J)`` there, which runs for the start and for every accepted step,
-    so a rejected trial builds only its state.  Returns the end point, its
-    cost, the trace, why the loop stopped (``"no descent"``: a trial rounds
-    back to theta, or lam passes ``DAMPING_CEILING``; or ``"max_iter"``,
-    after ``max_iter`` Jacobians) and the numbers of points and of
-    Jacobians taken.
+    so a rejected trial builds only its state.  The loop ends once the
+    cost is at or below len(f) eps^2, checked as each Jacobian returns f:
+    each entry of f is a difference of numbers of size about 1 and carries
+    an error of about eps (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 3), so a cost below that bound is rounding, and
+    a step there only trades one rounding for another.  Returns the end
+    point, its cost, the trace, why the loop stopped (``"floor"``: the cost
+    reached that bound; ``"no descent"``: a trial rounds back to theta, or
+    lam passes ``DAMPING_CEILING``; or ``"max_iter"``, after ``max_iter``
+    Jacobians) and the numbers of points and of Jacobians taken.
     """
     theta = theta0.astype(float).copy()
     cost, jacobian = point(theta)
     points, jacobians = 1, 0
     trace = [cost]
     damping, identity = DAMPING_START, np.eye(theta.size)
+    eps2 = np.finfo(float).eps ** 2
     while jacobians < max_iter:
         residual, jac = jacobian()
         jacobians += 1
+        if cost <= residual.size * eps2:
+            return theta, cost, trace, "floor", points, jacobians
         grad, normal = jac.T @ residual, jac.T @ jac
         while True:
             try:

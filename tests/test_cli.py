@@ -168,10 +168,24 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
 def test_restarts_record_why_each_one_stopped(tmp_path):
     assert cli.main(["fit", "--function", "sin", "--knots", "8", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "fit_sin_K8_seed42.json").read_text())
-    # the first restart ends where no trial lowers the cost, at the float
-    # floor, far below STOP_COST, which ends the solve
-    assert [r["stop_reason"] for r in payload["restarts"]] == ["no descent"]
+    # the first restart ends at the cost's rounding floor, len(f) eps^2, far
+    # below STOP_COST, which ends the solve
+    assert [r["stop_reason"] for r in payload["restarts"]] == ["floor"]
     assert payload["final_cost"] <= vqls.STOP_COST
+
+
+@pytest.mark.parametrize("knots, seed", [(4, 1), (8, 6)])
+def test_an_exact_fit_stops_at_the_cost_rounding_floor(tmp_path, knots, seed):
+    # these first restarts reach cost ~5e-32 within a few Jacobians; below
+    # the floor a trial can still lower the cost by a rounding, so a loop
+    # with no floor stop runs them to max_iter, about 27 930 cost rows
+    assert cli.main(["fit", "--function", "sin", "--knots", str(knots), "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"fit_sin_K{knots}_seed{seed}.json").read_text())
+    first = payload["restarts"][0]
+    assert first["stop_reason"] == "floor" and first["cost_rows"] < 100
+    assert first["final_cost"] <= knots * np.finfo(float).eps ** 2
+    assert payload["restarts_used"] == 1 and payload["nrmse"] < 1e-15
 
 
 @pytest.mark.parametrize("flags, nrmse", [

@@ -536,9 +536,9 @@ def test_solve_builds_each_point_once(kind, monkeypatch):
     assert calls == {"_trial": evaluations["cost_rows"] - evaluations["gradients"] + 1,
                      "jacobian": evaluations["gradients"]}
     # a Jacobian at the start and after each accepted step: the one restart
-    # reached STOP_COST within 30 Jacobians, so its loop ended on no descent
-    # after taking the end point's Jacobian
-    assert [r["stop_reason"] for r in solution.restarts] == ["no descent"]
+    # reached the cost's rounding floor within 30 Jacobians, so its loop
+    # ended on floor after taking the end point's Jacobian
+    assert [r["stop_reason"] for r in solution.restarts] == ["floor"]
     assert solution.final_cost <= vqls.STOP_COST
     assert evaluations["gradients"] == len(solution.cost_trace) > 1
 
@@ -654,7 +654,7 @@ def test_levenberg_marquardt_solves_a_linear_residual_to_its_rounding_floor():
     _, cost, trace, reason, points, jacobians = vqls._levenberg_marquardt(point, theta0, 200)
     # the loop counts what it took: a Jacobian at the start and at every step
     assert (points, jacobians) == (log.count("cost"), log.count("jacobian"))
-    assert reason == "no descent" and jacobians == len(trace)
+    assert reason == "floor" and jacobians == len(trace)
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     # lightly damped, the first step is nearly the Gauss-Newton step, which
     # solves a linear residual at once
@@ -665,6 +665,28 @@ def test_levenberg_marquardt_solves_a_linear_residual_to_its_rounding_floor():
     _, cost, trace, reason, points, jacobians = vqls._levenberg_marquardt(point, theta0, 2)
     assert reason == "max_iter" and jacobians == log.count("jacobian") == 2
     assert len(trace) == 3 and points == log.count("cost")
+
+
+def test_levenberg_marquardt_stops_at_once_on_a_start_at_the_rounding_floor():
+    # f . f at or below len(f) eps^2 is rounding: the first Jacobian ends the
+    # loop, and no trial is built
+    f, jac = np.full(4, np.finfo(float).eps), np.eye(4)
+    log = []
+
+    def point(x):
+        log.append("cost")
+
+        def jacobian():
+            log.append("jacobian")
+            return f, jac
+
+        return float(f @ f), jacobian
+
+    theta0 = np.ones(4)
+    theta, cost, trace, reason, points, jacobians = vqls._levenberg_marquardt(point, theta0, 5)
+    assert reason == "floor" and log == ["cost", "jacobian"]
+    assert (points, jacobians) == (1, 1) and trace == [cost] == [4 * np.finfo(float).eps ** 2]
+    assert theta.tobytes() == theta0.tobytes()
 
 
 def test_levenberg_marquardt_raises_the_damping_until_no_trial_moves_theta():
@@ -830,8 +852,8 @@ def test_relu_at_sixteen_knots_fits_to_rounding_error(seed):
     rep = pipeline.fit(pipeline.FitConfig(function="relu", knots=16, seed=seed))
     assert rep.converged
     assert rep.nrmse < 1e-10
-    # at the float floor no trial lowers the cost
-    assert rep.restarts[-1]["stop_reason"] == "no descent"
+    # the restart ends at the cost's rounding floor, len(f) eps^2
+    assert rep.restarts[-1]["stop_reason"] == "floor"
     assert rep.restarts_used == 1
 
 

@@ -102,7 +102,6 @@ def build_parser() -> _Parser:
 # ----------------------------------------------------------------------------
 
 _FIT_FIELDS = dataclasses.fields(pipeline.FitConfig)
-_INT_KEYS = {f.name for f in _FIT_FIELDS if f.type == "int"}
 
 # fit settings default as in pipeline.FitConfig, but the CLI asks for --function
 _DEFAULTS = {
@@ -116,10 +115,13 @@ _DEFAULTS = {
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config(path: str) -> dict:
+def _config_flags(path: str) -> list[str]:
+    """A config file's settings as the ``fit`` flags they stand for: the line
+    ``key=value`` is ``--key=value``, and a boolean key's true word its bare flag."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a byte-order mark, as Windows editors write, is not part of a key
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -130,46 +132,39 @@ def _read_config(path: str) -> dict:
                 values[key.strip().replace("-", "_")] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    # checked here, since argparse would read a prefix such as knot=4 as --knots
+    unknown = set(values) - set(_DEFAULTS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        word = _BOOL_WORDS.get(value.lower()) if key in ("svg", "classical_only") else None
+        if word is None:
+            flags.append(f"{flag}={value}")  # the parser refuses a bad boolean word
+        elif word:
+            flags.append(flag)
+    return flags
 
 
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"config value {key}={raw!r} is not an integer") from exc
-    if key in ("svg", "classical_only"):
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError as exc:
-            raise UsageError(f"config value {key}={raw!r} is not a boolean") from exc
-    if key in _CHOICES and raw not in _CHOICES[key]:
-        raise UsageError(f"config value {key}={raw!r} is not one of "
-                         f"{', '.join(_CHOICES[key])}")
-    return raw
+def _parse_as_fit(source: str, flags: list[str]) -> argparse.Namespace:
+    try:
+        return build_parser().parse_args(["fit", *flags])
+    except UsageError as exc:
+        raise UsageError(f"{source}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(_DEFAULTS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    sources = [args]
+    if args.config:
+        sources.append(_parse_as_fit(args.config, _config_flags(args.config)))
+    env = os.environ.get("QSPLINE_SEED")
+    if env is not None and all(source.seed is None for source in sources):
+        sources.append(_parse_as_fit("QSPLINE_SEED", [f"--seed={env}"]))
     settings = {}
     for key, default in _DEFAULTS.items():
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            value = _coerce(key, config[key])
-        if value is None and key == "seed":
-            env = os.environ.get("QSPLINE_SEED")
-            if env is not None:
-                try:
-                    value = int(env)
-                except ValueError as exc:
-                    raise UsageError(f"QSPLINE_SEED={env!r} is not an integer") from exc
-        if value is None:
-            value = default
-        settings[key] = value
+        given = (getattr(source, key, None) for source in sources)
+        settings[key] = next((value for value in given if value is not None), default)
     if "\0" in settings["out"]:
         raise UsageError(f"output directory {settings['out']!r} holds a NUL byte")
     return settings

@@ -257,6 +257,26 @@ def test_fits_run_without_scipy(tmp_path):
         assert (tmp_path / mode / "fit_sin_K4_seed42.csv").exists()
 
 
+def test_the_first_fit_imports_numpy_random_outside_its_solve_clock():
+    # numpy loads numpy.random on first use; the readout seed's draw takes
+    # that import before the solve is timed, so timings.solve_s leaves it out
+    script = (
+        "import sys\n"
+        "from qspline import pipeline, vqls\n"
+        "entered, solve = [], vqls.solve\n"
+        "def watched(*args, **kwargs):\n"
+        "    entered.append('numpy.random' in sys.modules)\n"
+        "    return solve(*args, **kwargs)\n"
+        "vqls.solve = watched\n"
+        "pipeline.fit(pipeline.FitConfig(function='sin', knots=2))\n"
+        "print(entered)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_fresh_interpreter_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[True]"
+
+
 _VOLATILE = ("wall_seconds", "timings")
 
 
@@ -472,6 +492,55 @@ def test_config_that_is_not_utf8_is_a_usage_error(tmp_path):
     assert err[0].startswith(f"error: cannot read config file {cfg}:")
     assert sum(line.startswith("error:") for line in err) == 1
     assert err[1].startswith("usage: qspline")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_a_byte_order_mark_fits(tmp_path, capsys):
+    # Windows editors start a UTF-8 file with a byte-order mark
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbffunction=sin\nknots=2\n")
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fit_sin_K2_seed42.csv").exists()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_bad_value_reads_alike_from_a_flag_a_file_or_the_environment(
+        tmp_path, capsys, monkeypatch):
+    # one parser checks all three sources, and the message names the source
+    cfg = tmp_path / "run.cfg"
+    errors = {}
+    for source, flags, line, env in [("flag", ["--knots", "x"], "", None),
+                                     ("file", [], "knots=x", None),
+                                     ("QSPLINE_SEED", ["--knots", "2"], "", "x")]:
+        cfg.write_text(line + "\n")
+        if env is None:
+            monkeypatch.delenv("QSPLINE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QSPLINE_SEED", env)
+        rc = cli.main(["fit", "--function", "sin", *flags, "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "Traceback" not in "\n".join(err)
+        assert sum(line.startswith("error:") for line in err) == 1
+        errors[source] = err[0]
+    assert errors == {
+        "flag": "error: argument --knots: invalid int value: 'x'",
+        "file": f"error: {cfg}: argument --knots: invalid int value: 'x'",
+        "QSPLINE_SEED": "error: QSPLINE_SEED: argument --seed: invalid int value: 'x'",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["knots=x", "svg=maybe", "mode=classical"])
+def test_a_config_file_is_checked_whole_even_where_a_flag_wins(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"function=sin\n{line}\n")
+    rc = cli.main(["fit", "--knots", "4", "--svg", "--mode", "exact",
+                   "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: {cfg}: argument --")
     assert not (tmp_path / "out").exists()
 
 

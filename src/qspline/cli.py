@@ -58,8 +58,6 @@ def build_parser() -> _Parser:
     sub.required = True
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"run seed (default: QSPLINE_SEED env or {pipeline.FitConfig.seed})")
         p.add_argument("--out", default=None, help="output directory (default: .)")
         p.add_argument("--config", default=None,
                        help="flat key=value file; explicit flags win")
@@ -78,6 +76,8 @@ def build_parser() -> _Parser:
         p.add_argument("--classical-only", action="store_const", const=True,
                        default=None, dest="classical_only",
                        help="skip the quantum solve; exact classical fit only")
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"run seed (default: QSPLINE_SEED env or {pipeline.FitConfig.seed})")
         add_common(p)
 
     fit = sub.add_parser("fit", help="fit one target function")
@@ -135,7 +135,7 @@ def _config_flags(path: str) -> list[str]:
     # checked here, since argparse would read a prefix such as knot=4 as --knots
     unknown = set(values) - set(_DEFAULTS)
     if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise UsageError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     flags = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -159,7 +159,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if args.config:
         sources.append(_parse_as_fit(args.config, _config_flags(args.config)))
     env = os.environ.get("QSPLINE_SEED")
-    if env is not None and all(source.seed is None for source in sources):
+    if env is not None and "seed" in vars(args) and all(s.seed is None for s in sources):
         sources.append(_parse_as_fit("QSPLINE_SEED", [f"--seed={env}"]))
     settings = {}
     for key, default in _DEFAULTS.items():

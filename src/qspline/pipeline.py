@@ -123,16 +123,13 @@ def fit(config: FitConfig) -> FitReport:
         seed=config.seed,
         rng=f"{vqls.SEEDING}; the shots readout seeded by SeedSequence((seed, 1 << 20))",
         y_estimate=[float(v) for v in y_estimate],
-        final_cost=solution.final_cost,
         cost_trace=list(solution.cost_trace),
-        restarts_used=solution.restarts_used,
         wall_seconds=read_out - started,
         baseline={
             "model": "QSplines (swap test)",
             "knots": BASELINE_KNOTS,
             "nrmse": QSPLINES_BASELINE[config.function],
         },
-        evaluations=dict(solution.evaluations),
         condition_number=condition_number,
         solved_condition_number=solution.condition_number,
         restarts=[dict(r) for r in solution.restarts],

@@ -31,7 +31,8 @@ def format_number(value: float) -> str:
 class FitReport:
     """Everything needed to inspect or replay one fit, and the one judge of
     it: every construction, ``dataclasses.replace`` too, scores ``nrmse``,
-    ``mean_bias`` and ``converged`` from ``y_target`` and ``y_estimate``."""
+    ``mean_bias`` and ``converged`` from ``y_target`` and ``y_estimate``
+    and counts the solve's totals from ``restarts`` and ``cost_trace``."""
 
     function: str
     knots: int
@@ -41,13 +42,10 @@ class FitReport:
     y_target: list[float]
     y_estimate: list[float]
     classical_nrmse: float | None = None  # the classical floor; a classical report's own nrmse
-    restarts_used: int = 0
-    degree: int = 1  # every spline here is degree 1; the sidecar records it
     wall_seconds: float = 0.0
     baseline: dict = field(default_factory=dict)
     # quantum fits only: shots (in shots mode), the solver settings, seed and
-    # generator, the best restart's final cost, {"cost_rows", "gradients"}
-    # over all restarts, cond(S) and cond(R S D) of the solved system, one
+    # generator, cond(S) and cond(R S D) of the solved system, one
     # {"final_cost", "cost_rows", "gradients", "stop_reason"} per restart
     # run, the seconds of the fit's stages {"solve_s", "readout_s",
     # "classical_s"}, and the best restart's cost trace
@@ -56,8 +54,6 @@ class FitReport:
     optimizer: dict | None = None
     seed: int | None = None
     rng: str | None = None
-    final_cost: float | None = None
-    evaluations: dict | None = None
     condition_number: float | None = None
     solved_condition_number: float | None = None
     restarts: list | None = None
@@ -66,6 +62,10 @@ class FitReport:
     nrmse: float = field(init=False)
     mean_bias: float = field(init=False)
     converged: bool = field(init=False)
+    degree: int = field(init=False)  # every spline here is degree 1; the sidecar records it
+    restarts_used: int = field(init=False)  # 0, and the next two None, in a classical report
+    final_cost: float | None = field(init=False)  # the best restart's, as its trace ends
+    evaluations: dict | None = field(init=False)  # {"cost_rows", "gradients"} over all restarts
 
     def __post_init__(self):
         lengths = {len(self.xs), len(self.y_target), len(self.y_estimate)}
@@ -79,6 +79,11 @@ class FitReport:
         self.converged = self.nrmse <= SUCCESS_NRMSE
         if self.mode == "classical":
             self.classical_nrmse = self.nrmse
+        self.degree = 1
+        self.restarts_used = len(self.restarts or ())
+        self.final_cost = self.cost_trace[-1] if self.cost_trace else None
+        self.evaluations = {key: sum(r[key] for r in self.restarts)
+                            for key in ("cost_rows", "gradients")} if self.restarts else None
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]

@@ -438,20 +438,20 @@ class VqlsSolution:
     """Best restart of a variational solve.
 
     ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
-    "stop_reason"}`` record per restart run, in order.  ``cost_rows`` is
-    the number of points the restart's loop took plus, for each gradient,
-    one row in exact mode (a Jacobian at an accepted point) or the 2P probe
-    rows of a central difference in shots mode.  ``gradients`` counts the
-    Jacobians of the Levenberg-Marquardt loop in exact mode and the
-    gradients of the BFGS loop in shots mode.  ``stop_reason`` is why the
-    loop stopped: ``"floor"`` (exact mode only: the cost reached its
-    rounding floor len(f) eps^2, for eps the float64 epsilon), ``"no
-    descent"`` (no step lowered the cost: in exact mode a trial rounded
-    back to theta or the damping passed ``DAMPING_CEILING``; in shots mode
-    a zero gradient, or no step size) or ``"max_iter"``.  The fit report,
-    not the solver, judges the fit.
-    ``evaluations`` sums the two counts over every restart, and
-    ``cost_trace`` is the best restart's.
+    "stop_reason"}`` record per restart run, in order; ``restarts_used``
+    counts them.  ``cost_rows`` is the number of points the restart's loop
+    took plus, for each gradient, one row in exact mode (a Jacobian at an
+    accepted point) or the 2P probe rows of a central difference in shots
+    mode.  ``gradients`` counts the Jacobians of the Levenberg-Marquardt
+    loop in exact mode and the gradients of the BFGS loop in shots mode.
+    ``stop_reason`` is why the loop stopped: ``"floor"`` (exact mode only:
+    the cost reached its rounding floor len(f) eps^2, for eps the float64
+    epsilon), ``"no descent"`` (no step lowered the cost: in exact mode a
+    trial rounded back to theta or the damping passed ``DAMPING_CEILING``;
+    in shots mode a zero gradient, or no step size) or ``"max_iter"``.  The
+    fit report, not the solver, judges the fit and sums the records' counts.
+    ``cost_trace`` is the best restart's; it strictly decreases, so it ends
+    at the lowest final cost.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
     its singularity check.  ``optimizer`` is the loop that ran, ``{"name",
     "fd_step", "max_iter", "restarts"}``: ``"levenberg-marquardt"`` with no
@@ -460,13 +460,14 @@ class VqlsSolution:
 
     theta: np.ndarray
     beta_state: sim.QuantumState
-    final_cost: float
     cost_trace: tuple
-    restarts_used: int
-    evaluations: dict
     condition_number: float
     restarts: tuple
     optimizer: dict
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.restarts)
 
 
 def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
@@ -638,14 +639,11 @@ def solve(
         if best[1] <= STOP_COST:
             break
 
-    theta, cost, trace = best
+    theta, _, trace = best
     return VqlsSolution(
         theta=theta,
         beta_state=sim.QuantumState(n, ansatz_state_vector(ans, theta).astype(complex)),
-        final_cost=float(cost),
         cost_trace=tuple(float(c) for c in trace),
-        restarts_used=len(records),
-        evaluations={key: sum(r[key] for r in records) for key in ("cost_rows", "gradients")},
         condition_number=condition_number,
         restarts=tuple(records),
         optimizer={**optimizer, "max_iter": cfg.max_iter, "restarts": cfg.restarts},

@@ -90,6 +90,25 @@ def test_a_report_scores_its_own_columns_again_when_replaced(mode):
         assert json.loads(rep.json_text())["converged"] is converged
 
 
+def test_a_report_counts_its_solve_from_its_restart_records():
+    classical = oracle.fit_classical("sin", 4)
+    assert classical.restarts_used == 0
+    assert classical.final_cost is None and classical.evaluations is None
+    records = [{"final_cost": 0.5, "cost_rows": 9, "gradients": 3, "stop_reason": "max_iter"},
+               {"final_cost": 0.25, "cost_rows": 7, "gradients": 2, "stop_reason": "no descent"}]
+    rep = dataclasses.replace(classical, mode="exact", restarts=records, cost_trace=[0.75, 0.25])
+    assert rep.restarts_used == 2
+    assert rep.final_cost == 0.25
+    assert rep.evaluations == {"cost_rows": 16, "gradients": 5}
+    assert json.loads(rep.json_text())["degree"] == rep.degree == 1
+    # derived, so no caller can set them
+    fields = {f.name: f for f in dataclasses.fields(rep)}
+    for name in ("restarts_used", "final_cost", "evaluations", "degree"):
+        assert not fields[name].init
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(rep, **{name: 1})
+
+
 def test_layered_fit_sidecar_reports_the_derived_depth(tmp_path):
     rc = cli.main(["fit", "--function", "sin", "--knots", "8", "--ansatz", "layered",
                    "--out", str(tmp_path)])
@@ -477,6 +496,17 @@ def test_malformed_config_is_a_usage_error(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+def test_an_unknown_config_key_names_its_file(tmp_path, capsys):
+    # argparse would read knot=4 as --knots=4, so the key is refused by name
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function=sin\nknot=4\n")
+    assert cli.main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {cfg}: unknown config keys: knot"
+    assert sum(line.startswith("error:") for line in err) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_usage_error(tmp_path):
     # a fresh interpreter, so an escaping UnicodeDecodeError would show as
     # a traceback on stderr
@@ -587,6 +617,18 @@ def test_decompose_function_matrix(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "terms: 12" in out
+
+
+def test_decompose_takes_no_seed(capsys, monkeypatch):
+    # decompose draws nothing at random: it neither reads QSPLINE_SEED nor takes --seed
+    monkeypatch.setenv("QSPLINE_SEED", "x")
+    assert cli.main(["decompose", "--block", "0.5", "0.3"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.delenv("QSPLINE_SEED")
+    assert cli.main(["decompose", "--seed", "5", "--block", "0.5", "0.3"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: unrecognized arguments: --seed 5"
+    assert sum(line.startswith("error:") for line in err) == 1
 
 
 def test_decompose_requires_one_source(capsys):

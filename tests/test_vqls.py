@@ -379,7 +379,7 @@ def _reference_tree_gradient(matrix, theta, terms):
 
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
-def test_tree_sweep_matches_the_level_by_level_recursion(knots):
+def test_tree_jacobian_pulls_back_to_the_level_by_level_adjoint(knots):
     matrix, y, config = _elu_system(knots, "tree")
     rng = np.random.default_rng(200 + knots)
     thetas = rng.uniform(0.0, 2.0 * np.pi, (40, config.n_params))
@@ -532,14 +532,14 @@ def test_solve_builds_each_point_once(kind, monkeypatch):
     matrix, y, config = _elu_system(8, kind)
     calls = _counting_trials(monkeypatch)
     solution = vqls.solve(matrix, y, vqls.SolveConfig(restarts=2, max_iter=30), config)
-    evaluations = solution.evaluations
+    evaluations = {k: sum(r[k] for r in solution.restarts) for k in ("cost_rows", "gradients")}
     assert calls == {"_trial": evaluations["cost_rows"] - evaluations["gradients"] + 1,
                      "jacobian": evaluations["gradients"]}
     # a Jacobian at the start and after each accepted step: the one restart
     # reached the cost's rounding floor within 30 Jacobians, so its loop
     # ended on floor after taking the end point's Jacobian
     assert [r["stop_reason"] for r in solution.restarts] == ["floor"]
-    assert solution.final_cost <= vqls.STOP_COST
+    assert solution.cost_trace[-1] <= vqls.STOP_COST
     assert evaluations["gradients"] == len(solution.cost_trace) > 1
 
 
@@ -872,7 +872,7 @@ def test_a_target_normalized_twice_fits_in_one_short_restart():
     matrix = _spline_system(8).entries
     y = vqls._y_vector(vqls._y_vector(oracle.fit_classical("sin", 8).y_target))
     solution = vqls.solve(matrix, y, vqls.SolveConfig(seed=7))
-    assert solution.restarts_used == 1 and solution.final_cost <= vqls.STOP_COST
+    assert solution.restarts_used == 1 and solution.cost_trace[-1] <= vqls.STOP_COST
     assert solution.restarts[0]["cost_rows"] <= 300
 
 
@@ -899,14 +899,14 @@ def test_thirty_two_knot_fit_converges_on_a_scaling_rounded_differently():
     r = 1.0 / (d * c)
     y01 = np.asarray(oracle.fit_classical("sigmoid", 32).y_target)
     solution = vqls.solve(r[:, None] * matrix * c, r * y01)
-    assert solution.restarts_used == 1 and solution.final_cost <= vqls.STOP_COST
+    assert solution.restarts_used == 1 and solution.cost_trace[-1] <= vqls.STOP_COST
 
 
 def test_solve_identity_system():
     y = np.array([1.0, 0.0, 0.0, 0.0])
     solution = vqls.solve(np.eye(4), y, vqls.SolveConfig(restarts=2),
                           vqls.AnsatzConfig(n_qubits=2, kind="tree"))
-    assert solution.final_cost <= vqls.STOP_COST
+    assert solution.cost_trace[-1] <= vqls.STOP_COST
     assert abs(solution.beta_state.amplitudes[0]) ** 2 > 0.999
 
 
@@ -932,7 +932,7 @@ def test_solve_is_deterministic():
     a = vqls.solve(system, y, config, ansatz)
     b = vqls.solve(system, y, config, ansatz)
     assert np.array_equal(a.theta, b.theta)
-    assert a.final_cost == b.final_cost
+    assert a.cost_trace[-1] == b.cost_trace[-1]
     assert a.cost_trace == b.cost_trace
 
 

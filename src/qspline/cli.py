@@ -69,8 +69,8 @@ def build_parser() -> _Parser:
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--ansatz", choices=_CHOICES["ansatz"], default=None)
         p.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                       help="cap on the Jacobians (exact mode) or BFGS iterations "
-                       "(shots mode) of every restart; it does not cap cost evaluations")
+                       help="cap on the Jacobians of every restart; it does not "
+                       "cap cost evaluations")
         p.add_argument("--svg", action="store_const", const=True, default=None,
                        help="also write an SVG plot")
         p.add_argument("--classical-only", action="store_const", const=True,
@@ -116,7 +116,7 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 
 
 def _config_flags(path: str) -> list[str]:
-    """A config file's settings as the ``fit`` flags they stand for: the line
+    """A config file's settings as the flags they stand for: the line
     ``key=value`` is ``--key=value``, and a boolean key's true word its bare flag."""
     values = {}
     try:
@@ -147,9 +147,10 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _parse_as_fit(source: str, flags: list[str]) -> argparse.Namespace:
+def _parse_as(command: str, source: str, flags: list[str]) -> argparse.Namespace:
+    """``flags`` read by ``command``'s own parser, an error naming ``source``."""
     try:
-        return build_parser().parse_args(["fit", *flags])
+        return build_parser().parse_args([command, *flags])
     except UsageError as exc:
         raise UsageError(f"{source}: {exc}") from exc
 
@@ -157,10 +158,10 @@ def _parse_as_fit(source: str, flags: list[str]) -> argparse.Namespace:
 def _resolve(args: argparse.Namespace) -> dict:
     sources = [args]
     if args.config:
-        sources.append(_parse_as_fit(args.config, _config_flags(args.config)))
+        sources.append(_parse_as(args.command, args.config, _config_flags(args.config)))
     env = os.environ.get("QSPLINE_SEED")
     if env is not None and "seed" in vars(args) and all(s.seed is None for s in sources):
-        sources.append(_parse_as_fit("QSPLINE_SEED", [f"--seed={env}"]))
+        sources.append(_parse_as(args.command, "QSPLINE_SEED", [f"--seed={env}"]))
     settings = {}
     for key, default in _DEFAULTS.items():
         given = (getattr(source, key, None) for source in sources)

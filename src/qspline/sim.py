@@ -385,13 +385,16 @@ def hadamard_test(
     return _draw(p1, shots, seed)
 
 
-def sample_overlap(overlaps, shots: int, seed: int | None = None) -> np.ndarray:
+def sample_overlap(overlaps, shots: int, seed=None) -> np.ndarray:
     """Shot estimates of real overlaps, as Hadamard tests would return them.
 
     The ancilla of each test reads 1 with probability ``(1 - overlap) / 2``;
-    this draws ``shots`` readings per overlap from one seeded generator in
-    one ``binomial`` call, without building any circuit.  Element 0 is the
-    draw :func:`hadamard_test` makes with the same seed; element i is the
+    this draws ``shots`` readings per overlap, in C order, in one
+    ``binomial`` call on ``default_rng(seed)``, without building any
+    circuit.  ``seed`` is an int, None or a ``numpy.random.Generator``,
+    which is drawn from as it stands, so calls that share one generator
+    draw in turn.  With an int seed, element 0 is the draw
+    :func:`hadamard_test` makes with the same seed, and element i is the
     i-th draw of that generator.  ``shots`` must pass :func:`check_shots`.
     """
     p1 = np.clip((1.0 - np.asarray(overlaps, dtype=float)) / 2.0, 0.0, 1.0)
@@ -422,7 +425,7 @@ def check_shots(shots: int) -> None:
                          f"got {shots!r}")
 
 
-def _draw(p1, shots: int, seed: int | None):
+def _draw(p1, shots: int, seed):
     check_shots(shots)
     n1 = np.random.default_rng(seed).binomial(shots, p1)
     return (shots - 2 * n1) / shots

@@ -13,28 +13,26 @@ prefix times its factor's derivative times the running product of the
 levels below, filled in with one fancy assignment; on the brick wall
 column j of J_v is half the state at angle j + pi, from the state's own walk.
 Each mode's cost lives in its point function, theta -> (cost, thunk), and
-:func:`cost_global` is that function's cost.
-Exact mode (:func:`_residual_point`) evaluates the cost straight from
-matrix algebra, as ``C = |r|^2 / d`` with ``d = psi . psi`` and the
-residual ``r = psi - (Y . psi) Y``: the same number without the
-cancellation of ``1 - ...`` near a solution.  That makes C = f . f for
-f = r / sqrt(d), a least-squares cost whose minimum is 0, so each restart
-runs Levenberg-Marquardt steps (Levenberg, 1944; Marquardt, 1963) built
-from the Jacobian of f, which follows from J_v, until the cost is at its
-rounding floor len(f) eps^2 (``"floor"``), where float64 cannot tell it
-from 0.
-Shots mode (:func:`_shots_point`) assembles the cost from the overlaps that
-Hadamard tests over pairs of terms of an LCU decomposition of S estimate:
-the term states A_l V|0>, each Pauli string a signed gather of V|0>, give
-every pair in one Gram product, and one :func:`sim.sample_overlap` call
-adds the shot noise of every test of the evaluation from one seeded
-generator.  The noise is frozen per restart so a run is reproducible and
-the optimizer sees a fixed landscape; its gradient is a central
-difference, taken one coordinate at a time, and each restart runs one
-BFGS loop.
+:func:`cost_global` is that function's cost.  Both modes take the cost
+straight from psi = S v, as ``C = |r|^2 / d`` with ``d = psi . psi`` and the
+residual ``r = psi - (Y . psi) Y`` (:func:`_residual`): the same number as
+``1 - (Y . psi)^2 / d`` without its cancellation near a solution.  That
+makes C = f . f for f = r / sqrt(d), a least-squares cost whose minimum is
+0, so each restart runs Levenberg-Marquardt steps (Levenberg, 1944;
+Marquardt, 1963) built from the Jacobian of f, which follows from that of
+psi, until the cost is at its rounding floor len(f) eps^2 (``"floor"``),
+where float64 cannot tell it from 0.
+Exact mode (:func:`_residual_point`) takes psi and its Jacobian S J_v from
+matrix algebra.  Shots mode (:func:`_shots_point`) samples them: entry k of
+psi is |a_k| times the overlap of the normalized row a_k of S with v, one
+Hadamard test, and one :func:`sim.sample_overlap` call draws all K of a
+point from the restart's generator, so every evaluation sees fresh noise.
+Its thunk samples the same rows against the shifted states and applies the
+parameter-shift rule (Mitarai et al., PRA 98, 032309, 2018; Schuld et al.,
+PRA 99, 032331, 2019), :func:`_sampled_moves`.
 V(theta) is a rotation tree, or a brick wall of CZ and Ry layers with at
 least twice the tree's 2^n - 1 angles; :func:`ansatz_ops` lists its gates,
-which the tests run against the shots cost.
+which the tests run against the sampled overlaps.
 The solver checks its own settings (:class:`SolveConfig`, :class:`AnsatzConfig`)
 and says what it ran: ``VqlsSolution.optimizer``, :meth:`AnsatzConfig.record`
 and ``SEEDING``.
@@ -51,7 +49,6 @@ import numpy as np
 
 from . import sim
 from .bspline import as_matrix
-from .decomp import pauli_decompose, signed_permutations
 
 __all__ = [
     "AnsatzConfig",
@@ -69,17 +66,16 @@ MODES = ("exact", "shots")  # the cost from matrix algebra, or sampled from Hada
 KINDS = ("tree", "layered")  # the trial-state circuits of AnsatzConfig
 ENTANGLER = "brick-cz"  # CZ on pairs (0,1), (2,3), ... then (1,2), (3,4), ... in turn
 
-# settings of the optimizer loops: Levenberg-Marquardt in exact mode, BFGS in shots mode
-MAX_ITER = 10_000  # default cap on the Jacobians or BFGS iterations of one restart
-FD_STEP = 1e-4  # central-difference step of the shots-mode gradient
+# settings of the Levenberg-Marquardt loop of every restart
+MAX_ITER = 10_000  # default cap on the Jacobians of one restart
 STOP_COST = 1e-8  # a restart at or below this skips the remaining restarts
-STALE_HALVINGS = 10  # a step accepted only this far down resets H to the identity
 DAMPING_START = 1e-3  # Levenberg-Marquardt damping of a restart's first step
 DAMPING_UP, DAMPING_DOWN = 4.0, 3.0  # its factors after a rejected and an accepted trial
 DAMPING_FLOOR, DAMPING_CEILING = 1e-15, 1e16  # its least value, and where descent is lost
 SINGULAR_COND = 1e12  # a larger cond counts as singular (determinants underflow)
 SEEDING = ("numpy default_rng; restart i seeded by SeedSequence((seed, i)), "
-           "from which a shots restart draws its frozen shot-noise seed")
+           "which draws its start point and then, in shots mode, the shot noise "
+           "of each of its evaluations in turn")
 
 
 @dataclass(frozen=True)
@@ -285,17 +281,6 @@ def _y_vector(y) -> np.ndarray:
     return y / norm
 
 
-def _lcu_arrays(matrix: np.ndarray) -> tuple:
-    """Coefficients, then the ``(T, 2**n)`` gather indices and signs of the
-    terms of the Pauli LCU of ``matrix``: term l maps v to
-    ``signs[l] * v[cols[l]]``; then the index arrays of the term pairs
-    l < m, row by row."""
-    lcu = pauli_decompose(matrix)
-    coeffs = lcu.coefficients()
-    return (coeffs, *signed_permutations(lcu.terms, lcu.n_qubits),
-            np.triu_indices(len(coeffs), 1))
-
-
 def check_mode(mode: str) -> None:
     """Reject any mode but one of ``MODES``."""
     if mode not in MODES:
@@ -310,84 +295,114 @@ def check_invertible(matrix: np.ndarray) -> float:
     return cond
 
 
-def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
-    """Point function of the exact cost C = f . f, f = r / sqrt(d): a point
-    is one forward pass, and its thunk returns f and the Jacobian of f there.
+def _residual(psi: np.ndarray, y: np.ndarray) -> tuple:
+    """The cost C = f . f at ``psi``, f = r / sqrt(d), and a map from psi's
+    Jacobian M to f and the Jacobian of f; the map is None, and C is 1, where
+    psi vanishes.
 
-    With psi = S v, the cost is C = (r . r) / d for d = psi . psi and the
-    residual r = psi - (y . psi) y.  It equals 1 - (y . psi)^2 / d but keeps
-    its digits near a solution, where that difference of two numbers close
-    to 1 cannot go below about 1e-16.  With J_v the state's Jacobian, psi
-    moves along S J_v, the residual along P S J_v for the projector
-    P = I - y y^T, and sqrt(d) along psi^T S J_v / sqrt(d), so
-    J_f = (P S J_v - r (psi^T S J_v) / d) / sqrt(d).
+    With d = psi . psi and the residual r = psi - (y . psi) y, the cost is
+    C = (r . r) / d.  It equals 1 - (y . psi)^2 / d but keeps its digits
+    near a solution, where that difference of two numbers close to 1 cannot
+    go below about 1e-16.  Where psi moves along M, the residual moves along
+    P M for the projector P = I - y y^T, and sqrt(d) along psi^T M / sqrt(d),
+    so J_f = (P M - r (psi^T M) / d) / sqrt(d).
     """
+    denom = float(psi @ psi)
+    if denom < 1e-280:
+        return 1.0, None
+    residual = psi - float(y @ psi) * y
+
+    def jacobian(moves: np.ndarray) -> tuple:
+        projected = moves - y[:, None] * (y @ moves)
+        scale = math.sqrt(denom)
+        return (residual / scale,
+                (projected - residual[:, None] * ((psi @ moves) / denom)) / scale)
+
+    return min(float(residual @ residual) / denom, 1.0), jacobian
+
+
+def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
+    """Point function of the exact cost (:func:`_residual`) of psi = S v: a
+    point is one forward pass, and its thunk returns f and the Jacobian of f
+    there, from psi's Jacobian S J_v."""
 
     def point(theta: np.ndarray) -> tuple:
         state, state_jacobian = _trial(config, theta)
-        psi = matrix @ state
-        denom = float(psi @ psi)
-        if denom < 1e-280:
+        cost, jacobian = _residual(matrix @ state, y)
+        if jacobian is None:
             raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-        residual = psi - float(y @ psi) * y
-
-        def jacobian() -> tuple:
-            moves = matrix @ state_jacobian()
-            projected = moves - y[:, None] * (y @ moves)
-            scale = math.sqrt(denom)
-            return (residual / scale,
-                    (projected - residual[:, None] * ((psi @ moves) / denom)) / scale)
-
-        return min(float(residual @ residual) / denom, 1.0), jacobian
+        return cost, lambda: jacobian(matrix @ state_jacobian())
 
     return point
 
 
-def _shots_point(lcu: tuple, y: np.ndarray, config: AnsatzConfig, shots: int,
-                 seed: int | None) -> Callable:
-    """Point function of the sampled cost from the Hadamard-test overlaps of
-    the terms of ``lcu`` (:func:`_lcu_arrays`), every evaluation drawn from
-    the same ``seed``: its gradient thunk takes central differences of step
-    ``FD_STEP``, one coordinate and two costs at a time.
+def _shift_signs(config: AnsatzConfig) -> tuple:
+    """Signs s of the points theta + s pi e_j at which :func:`_sampled_moves`
+    samples psi: both on the tree, + alone on the brick wall."""
+    return (1.0, -1.0) if config.kind == "tree" else (1.0,)
 
-    Numerator overlaps gamma_l = <Y|A_l V|0> and denominator terms
-    G_lm = <0|V^dag A_l^dag A_m V|0> are all real because every unitary
-    involved is real, so one real-part test per pair suffices.  All of them
-    are drawn in one :func:`sim.sample_overlap` call seeded with ``seed``:
-    the gammas first, then the pairs l < m row by row.  The sampled pairs
-    fill both triangles of a unit-diagonal G, and the cost is
-    1 - (c . gamma)^2 / (c^T G c).
+
+def _sampled_moves(config: AnsatzConfig, theta: np.ndarray, sample: Callable) -> np.ndarray:
+    """Jacobian of psi at ``theta`` by the parameter-shift rule, from
+    ``sample``, which maps a ``(2^n, B)`` array of states to psi sampled at
+    each, ``(K, B)``.
+
+    Advancing angle j by +-pi turns its half-angle pair (cos, sin) into
+    +-(-sin, cos), exactly.  Every amplitude of both circuits has frequency
+    1/2 in every angle, so dpsi/dtheta_j = [psi(theta + pi e_j) -
+    psi(theta - pi e_j)] / 4; the tree samples its P advanced states, then
+    its P retreated ones.  On the brick wall each angle sits in one gate,
+    dRy(t)/dt = Ry(t + pi) / 2, so its P advanced states suffice:
+    dpsi/dtheta_j = psi(theta + pi e_j) / 2.  That one-shift form does not
+    hold on the tree, whose leaves off angle j's subtree do not move.
     """
-    coeffs, cols, signs, pairs = lcu
-    n_terms = len(coeffs)
+    n_params, signs = theta.size, _shift_signs(config)
+    cols = np.arange(len(signs) * n_params)
+    angle, sign = cols % n_params, np.repeat(signs, n_params)
+    half = theta / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    cos_cols, sin_cols = np.tile(cos[:, None], cols.size), np.tile(sin[:, None], cols.size)
+    cos_cols[angle, cols] = -sign * sin[angle]
+    sin_cols[angle, cols] = sign * cos[angle]
+    if config.kind == "layered":
+        return sample(_brick_wall(config, cos_cols, sin_cols)) / 2.0
+    factors = np.concatenate((np.ones((1, cols.size)), cos_cols, sin_cols))
+    shifted = sample(np.multiply.reduce(factors[_tree_index(config.n_qubits)[0]], axis=0))
+    return (shifted[:, :n_params] - shifted[:, n_params:]) / 4.0
 
-    def cost(theta: np.ndarray) -> float:
-        phi = signs * _trial(config, theta)[0][cols]
-        estimates = sim.sample_overlap(
-            np.concatenate([phi @ y, (phi @ phi.T)[pairs]]), shots, seed
-        )
-        gram = np.eye(n_terms)  # diagonal pairs are exactly 1
-        gram[pairs] = gram.T[pairs] = estimates[n_terms:]
-        numerator = float(coeffs @ estimates[:n_terms]) ** 2
-        denominator = float(coeffs @ gram @ coeffs)
-        if denominator <= 0.0:
-            # heavy shot noise can push the estimate out of range; clip hard
-            return 1.0
-        return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
 
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(theta)
-        probe = theta.copy()
-        for i in range(theta.size):
-            probe[i] = theta[i] + FD_STEP
-            hi = cost(probe)
-            probe[i] = theta[i] - FD_STEP
-            grad[i] = (hi - cost(probe)) / (2.0 * FD_STEP)
-            probe[i] = theta[i]
-        return grad
+def _shots_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, shots: int,
+                 rng: np.random.Generator) -> Callable:
+    """Point function of the sampled cost: :func:`_residual` of psi sampled
+    row by row, every draw from ``rng`` in turn.
+
+    Entry k of psi = S v is |a_k| times the overlap of the normalized row
+    a_k with v, a real overlap that one Hadamard test estimates; a point
+    samples the K of them in one :func:`sim.sample_overlap` call, and its
+    thunk samples them at the shifted states of :func:`_sampled_moves` in
+    one more.  The sampled psi is never clipped.  At an even shot count it
+    can draw 0 in every row at once; that point costs 1, so as a trial it is
+    rejected, and as a start its thunk returns f = 0 and J_f = 0, on which
+    the loop's step rounds back to theta and ends the restart on
+    ``"no descent"``.
+    """
+    norms = np.linalg.norm(matrix, axis=1)
+    rows = matrix / norms[:, None]
+
+    def sample(states: np.ndarray) -> np.ndarray:
+        return norms[:, None] * sim.sample_overlap(rows @ states, shots, rng)
 
     def point(theta: np.ndarray) -> tuple:
-        return cost(theta), lambda: gradient(theta)
+        psi = sample(_trial(config, theta)[0][:, None])[:, 0]
+        cost, jacobian = _residual(psi, y)
+
+        def sampled_jacobian() -> tuple:
+            moves = _sampled_moves(config, theta, sample)
+            if jacobian is None:
+                return np.zeros_like(psi), np.zeros_like(moves)
+            return jacobian(moves)
+
+        return cost, sampled_jacobian
 
     return point
 
@@ -403,12 +418,13 @@ def cost_global(
 ) -> float:
     """Global VQLS cost at ``theta``; 0 exactly when S V(theta)|0> aligns with
     Y, the raw target vector ``y`` normalized.  It is the cost of the point
-    function that :func:`solve` minimizes in ``mode``."""
+    function that :func:`solve` minimizes in ``mode``; in shots mode its
+    draws come from ``default_rng(seed)``."""
     check_mode(mode)
     y, theta, matrix = _y_vector(y), _theta(config, theta), as_matrix(system)
     if mode == "exact":
         return _residual_point(matrix, y, config)(theta)[0]
-    return _shots_point(_lcu_arrays(matrix), y, config, shots, seed)(theta)[0]
+    return _shots_point(matrix, y, config, shots, np.random.default_rng(seed))(theta)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -439,23 +455,23 @@ class VqlsSolution:
 
     ``restarts`` holds one ``{"final_cost", "cost_rows", "gradients",
     "stop_reason"}`` record per restart run, in order; ``restarts_used``
-    counts them.  ``cost_rows`` is the number of points the restart's loop
-    took plus, for each gradient, one row in exact mode (a Jacobian at an
-    accepted point) or the 2P probe rows of a central difference in shots
-    mode.  ``gradients`` counts the Jacobians of the Levenberg-Marquardt
-    loop in exact mode and the gradients of the BFGS loop in shots mode.
-    ``stop_reason`` is why the loop stopped: ``"floor"`` (exact mode only:
-    the cost reached its rounding floor len(f) eps^2, for eps the float64
-    epsilon), ``"no descent"`` (no step lowered the cost: in exact mode a
-    trial rounded back to theta or the damping passed ``DAMPING_CEILING``;
-    in shots mode a zero gradient, or no step size) or ``"max_iter"``.  The
-    fit report, not the solver, judges the fit and sums the records' counts.
+    counts them.  ``gradients`` counts the Jacobians of the restart's
+    Levenberg-Marquardt loop, and ``cost_rows`` the points its loop took
+    plus, for each Jacobian, the points it evaluated: one in exact mode
+    (the Jacobian's forward pass at an accepted point), and in shots mode
+    the shifted points of the parameter-shift rule, 2P on the tree and P on
+    the brick wall.  A shots row is K Hadamard tests.
+    ``stop_reason`` is why the loop stopped: ``"floor"`` (the cost reached
+    its rounding floor len(f) eps^2, for eps the float64 epsilon; in shots
+    mode a sampled psi parallel to Y reads exactly 0), ``"no descent"`` (a
+    trial rounded back to theta, or the damping passed ``DAMPING_CEILING``)
+    or ``"max_iter"``.  The fit report, not the solver, judges the fit and
+    sums the records' counts.
     ``cost_trace`` is the best restart's; it strictly decreases, so it ends
     at the lowest final cost.
     ``condition_number`` is cond of the matrix :func:`solve` was given, from
     its singularity check.  ``optimizer`` is the loop that ran, ``{"name",
-    "fd_step", "max_iter", "restarts"}``: ``"levenberg-marquardt"`` with no
-    ``fd_step`` (exact mode takes analytic Jacobians), or ``"bfgs"`` with ``FD_STEP``.
+    "max_iter", "restarts"}``, ``"levenberg-marquardt"`` in both modes.
     """
 
     theta: np.ndarray
@@ -468,69 +484,6 @@ class VqlsSolution:
     @property
     def restarts_used(self) -> int:
         return len(self.restarts)
-
-
-def _bfgs(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
-    """Quasi-Newton descent with an inverse-Hessian estimate H.
-
-    The first step is along -g; after the first accepted step H becomes
-    (s.y / y.y) I, and every accepted step with curvature s.y > 0 applies
-    the standard inverse update.  H falls back to the identity whenever -Hg
-    is not a descent direction, and after any step accepted only at
-    ``STALE_HALVINGS`` or more halvings: near the cost's rounding floor an H
-    kept from above it goes stale, and its steps would pass only at tiny
-    step sizes, one iteration after another.  Each step size is found by Armijo
-    backtracking from 1 (c1 = 1e-4, strict decrease, at most 60 halvings),
-    so the recorded trace strictly decreases.  The search gives up at the
-    first step size whose candidate rounds back to theta: rounding is
-    monotone, so no smaller step can move theta or lower the cost.
-    ``point(x)`` returns the cost at x and a thunk for the gradient there,
-    which runs for the start and for every accepted step.  Returns the end
-    point, its cost, the trace, why the loop stopped (``"no descent"``: a
-    zero or non-finite gradient, or no step size lowered the cost; or
-    ``"max_iter"``) and the numbers of points and of gradients taken.
-    """
-    theta = theta0.astype(float).copy()
-    cost, gradient = point(theta)
-    grad = gradient()
-    points = gradients = 1
-    trace = [cost]
-    h = None  # None stands for the identity, before any curvature is seen
-    for _ in range(max_iter):
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0 or not math.isfinite(gnorm2):
-            return theta, cost, trace, "no descent", points, gradients
-        step = -grad if h is None else -(h @ grad)
-        slope = float(grad @ step)
-        if not slope < 0.0:
-            h, step, slope = None, -grad, -gnorm2
-        for halvings in range(61):
-            alpha = 0.5**halvings
-            candidate = theta + alpha * step
-            # bytes, not np.array_equal, which costs more than the point saved
-            if candidate.tobytes() == theta.tobytes():
-                return theta, cost, trace, "no descent", points, gradients
-            new_cost, gradient = point(candidate)
-            points += 1
-            if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
-                break
-        else:
-            return theta, cost, trace, "no descent", points, gradients
-        new_grad = gradient()
-        gradients += 1
-        s, y = candidate - theta, new_grad - grad
-        sy = float(s @ y)
-        if halvings >= STALE_HALVINGS:
-            h = None
-        elif sy > 0.0:
-            if h is None:
-                h = (sy / float(y @ y)) * np.eye(theta.size)
-            hy = h @ y
-            col_s, col_hy = s[:, None], hy[:, None]
-            h += ((sy + y @ hy) * (col_s * s) / sy - col_hy * s - col_s * hy) / sy
-        theta, cost, grad = candidate, new_cost, new_grad
-        trace.append(cost)
-    return theta, cost, trace, "max_iter", points, gradients
 
 
 def _levenberg_marquardt(point: Callable, theta0: np.ndarray, max_iter: int) -> tuple:
@@ -549,7 +502,8 @@ def _levenberg_marquardt(point: Callable, theta0: np.ndarray, max_iter: int) -> 
     each entry of f is a difference of numbers of size about 1 and carries
     an error of about eps (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2002, ch. 3), so a cost below that bound is rounding, and
-    a step there only trades one rounding for another.  Returns the end
+    a step there only trades one rounding for another; a sampled cost gets
+    there only at exactly 0, where f = 0 makes the step 0.  Returns the end
     point, its cost, the trace, why the loop stopped (``"floor"``: the cost
     reached that bound; ``"no descent"``: a trial rounds back to theta, or
     lam passes ``DAMPING_CEILING``; or ``"max_iter"``, after ``max_iter``
@@ -615,13 +569,9 @@ def solve(
         raise ValueError(f"target has length {y_vec.size}, system is {dim}x{dim}")
 
     if cfg.mode == "exact":
-        descend, gradient_rows = _levenberg_marquardt, 1
-        optimizer = {"name": "levenberg-marquardt", "fd_step": None}
-        point = _residual_point(matrix, y_vec, ans)
+        point, jacobian_rows = _residual_point(matrix, y_vec, ans), 1
     else:
-        descend, gradient_rows = _bfgs, 2 * ans.n_params
-        optimizer = {"name": "bfgs", "fd_step": FD_STEP}
-        lcu = _lcu_arrays(matrix)
+        jacobian_rows = len(_shift_signs(ans)) * ans.n_params
 
     best = None
     records = []
@@ -629,11 +579,12 @@ def solve(
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
         theta0 = rng.uniform(0.0, 2.0 * math.pi, ans.n_params)
         if cfg.mode == "shots":
-            point = _shots_point(lcu, y_vec, ans, cfg.shots, int(rng.integers(0, 2**31 - 1)))
-        theta, cost, trace, reason, points, gradients = descend(point, theta0, cfg.max_iter)
+            point = _shots_point(matrix, y_vec, ans, cfg.shots, rng)
+        theta, cost, trace, reason, points, gradients = _levenberg_marquardt(
+            point, theta0, cfg.max_iter)
         records.append({"final_cost": float(cost),
-                         "cost_rows": points + gradient_rows * gradients,
-                         "gradients": gradients, "stop_reason": reason})
+                        "cost_rows": points + jacobian_rows * gradients,
+                        "gradients": gradients, "stop_reason": reason})
         if best is None or cost < best[1]:
             best = (theta, cost, trace)
         if best[1] <= STOP_COST:
@@ -646,5 +597,6 @@ def solve(
         cost_trace=tuple(float(c) for c in trace),
         condition_number=condition_number,
         restarts=tuple(records),
-        optimizer={**optimizer, "max_iter": cfg.max_iter, "restarts": cfg.restarts},
+        optimizer={"name": "levenberg-marquardt", "max_iter": cfg.max_iter,
+                   "restarts": cfg.restarts},
     )

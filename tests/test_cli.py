@@ -119,7 +119,9 @@ def test_layered_fit_sidecar_reports_the_derived_depth(tmp_path):
 
 
 def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
-    # the README's capped shots fit: --max-iter bounds iterations, not evaluations
+    # the README's capped shots fit: --max-iter bounds Jacobians, not evaluations.
+    # Its one Jacobian samples the 2P = 6 shifted points of the tree, and the
+    # restart's start and one accepted trial are the other two rows
     flags = ["fit", "--function", "sin", "--knots", "4", "--mode", "shots",
              "--shots", "50000", "--restarts", "1", "--max-iter", "1", "--seed", "1"]
     payloads = []
@@ -127,10 +129,10 @@ def test_sidecar_counts_evaluations_and_records_the_condition_number(tmp_path):
         assert cli.main([*flags, "--out", str(tmp_path / run)]) == 2
         payloads.append(json.loads((tmp_path / run / "fit_sin_K4_seed1.json").read_text()))
     first, again = payloads
-    assert first["evaluations"] == {"cost_rows": 14, "gradients": 2}
+    assert first["evaluations"] == {"cost_rows": 8, "gradients": 1}
     assert again["evaluations"] == first["evaluations"]
-    assert first["optimizer"]["fd_step"] == vqls.FD_STEP  # shots mode keeps central differences
-    assert first["optimizer"]["name"] == "bfgs"
+    # both modes run one loop, and neither takes a finite-difference step
+    assert first["optimizer"] == {"name": "levenberg-marquardt", "max_iter": 1, "restarts": 1}
     system, _ = pipeline.build_system(4)
     assert first["condition_number"] == float(np.linalg.cond(system.entries))
     # the solver sees the equilibrated system R S D
@@ -166,14 +168,13 @@ def test_sidecar_lists_each_restart_and_times_the_stages(tmp_path):
     trace = first["cost_trace"]
     assert trace[-1] == first["final_cost"]
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert first["optimizer"]["fd_step"] is None  # exact mode takes analytic Jacobians
-    assert first["optimizer"]["name"] == "levenberg-marquardt"
+    assert first["optimizer"] == {"name": "levenberg-marquardt", "max_iter": 1, "restarts": 5}
     assert again["restarts"] == restarts
     assert set(first["timings"]) == {"solve_s", "readout_s", "classical_s"}
     assert all(seconds >= 0.0 for seconds in first["timings"].values())
     # the fit's wall time spans every stage, the classical fit included
     assert first["wall_seconds"] >= sum(first["timings"].values())
-    # rng names the restart streams, the shot noise they seed and the readout's
+    # rng names the restart streams, the shot noise they draw and the readout's
     assert first["rng"].startswith(vqls.SEEDING) and "(seed, 1 << 20)" in first["rng"]
 
     assert cli.main(["fit", "--function", "elu", "--knots", "8", "--classical-only",
@@ -211,7 +212,7 @@ def test_an_exact_fit_stops_at_the_cost_rounding_floor(tmp_path, knots, seed):
     # at K=2 every target normalizes to (0, 1), and one restart of one
     # Jacobian ends each fit at cost 0.083
     ((), "2.055e-01"),
-    # each restart ends on a sampled cost clipped to exactly 0
+    # the readout's three shots read -1/3 where each target is 0
     (("--mode", "shots", "--shots", "3"), "2.357e-01"),
 ], ids=["exact", "shots"])
 def test_bench_reports_each_unconverged_fit_and_exits_2(tmp_path, capsys, flags, nrmse):
@@ -231,16 +232,36 @@ def test_bench_reports_each_unconverged_fit_and_exits_2(tmp_path, capsys, flags,
     assert summary[-1].startswith("vqls,2,")
 
 
-def test_a_sampled_cost_clipped_to_0_does_not_pass_a_fit(tmp_path, capsys):
-    # the one restart reads a sampled cost of exactly 0 while the fit is far
-    # off: the report's own error is the verdict
+def test_a_sampled_cost_of_0_does_not_pass_a_fit(tmp_path, capsys):
+    # at two shots the first row's overlap draws exactly 0 in about half the
+    # points, and at K = 2 the sampled psi is then parallel to the target
+    # (0, 1): the one restart reads a cost of exactly 0 while the fit is far
+    # off, and the report's own error is the verdict
     assert cli.main(["fit", "--function", "sin", "--knots", "2", "--mode", "shots",
-                     "--shots", "1", "--restarts", "1", "--out", str(tmp_path)]) == 2
-    payload = json.loads((tmp_path / "fit_sin_K2_seed42.json").read_text())
+                     "--shots", "2", "--restarts", "1", "--seed", "6",
+                     "--out", str(tmp_path)]) == 2
+    payload = json.loads((tmp_path / "fit_sin_K2_seed6.json").read_text())
     assert payload["final_cost"] == 0.0
+    assert payload["restarts"][0]["stop_reason"] == "floor"
     assert payload["converged"] is False and payload["nrmse"] > SUCCESS_NRMSE
     assert capsys.readouterr().err == (
         "warning: sin fit NRMSE 7.071e-01 is above 0.03; best effort written\n")
+
+
+def test_a_sampled_psi_of_0_ends_in_a_result(tmp_path, capsys):
+    # at two shots all K overlaps of a point can draw 0 at once; such a point
+    # costs 1, and as a restart's start it ends that restart on no descent,
+    # which seeds 2, 3, 9, 10, 11, 13, 14 and 17 meet
+    stops = []
+    for seed in range(20):
+        rc = cli.main(["fit", "--function", "sin", "--knots", "2", "--mode", "shots",
+                       "--shots", "2", "--seed", str(seed), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err
+        payload = json.loads((tmp_path / f"fit_sin_K2_seed{seed}.json").read_text())
+        stops += [(r["stop_reason"], r["final_cost"], r["cost_rows"]) for r in payload["restarts"]]
+    # the start point and the Jacobian's two shifted points, and no trial
+    assert stops.count(("no descent", 1.0, 3)) >= 8
 
 
 def test_bench_at_seed_7_converges_for_every_function(tmp_path, capsys):
@@ -629,6 +650,30 @@ def test_decompose_takes_no_seed(capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error: unrecognized arguments: --seed 5"
     assert sum(line.startswith("error:") for line in err) == 1
+
+
+@pytest.mark.parametrize("line", ["seed=5", "seed=x", "mode=shots", "shots=100"])
+def test_decompose_refuses_a_config_key_it_does_not_take(tmp_path, capsys, line):
+    # a config file is read as the command's own flags, so a key decompose
+    # takes no flag for is refused as that flag would be, naming the file
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"function=sin\nknots=4\n{line}\n")
+    assert cli.main(["decompose", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0] == f"error: {cfg}: unrecognized arguments: --{line}"
+    assert sum(s.startswith("error:") for s in err) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_decompose_reads_function_knots_and_out_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"function=sigmoid\nknots=4\nout={tmp_path / 'out'}\n")
+    assert cli.main(["decompose", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert cli.main(["decompose", "--function", "sigmoid", "--knots", "4"]) == 0
+    assert captured.out == capsys.readouterr().out and "terms: 12" in captured.out
+    assert captured.err == ""
 
 
 def test_decompose_requires_one_source(capsys):

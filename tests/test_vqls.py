@@ -8,7 +8,6 @@ import pytest
 
 from qspline import oracle, pipeline, sim, vqls
 from qspline.bspline import bidiagonal_scaling, build_system
-from qspline.decomp import pauli_decompose
 from qspline.functions import TARGETS, minmax_normalize, sample_grid
 
 
@@ -156,50 +155,72 @@ def test_shots_cost_tracks_exact_cost():
     assert noisy == again
 
 
-def _circuit_shots_cost(matrix, y, config, theta, shots, seed):
-    """Gate-level reference of the sampled cost: the exact overlap of one
-    Hadamard-test circuit per term (target against trial-then-term) and per
-    pair of terms l < m, in that order, all drawn with one ``binomial`` call
-    on ``default_rng(seed)``."""
-    lcu = pauli_decompose(matrix)
+def _scaled_system(name, knots, kind):
+    """The equilibrated system R S D and normalized target R y that a fit
+    hands the solver, with the ansatz of ``kind``."""
+    matrix = _spline_system(knots).entries
+    r, c = bidiagonal_scaling(matrix)
+    y = r * _normalized_target(name, knots)
+    return (r[:, None] * matrix * c, y / np.linalg.norm(y),
+            vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind))
+
+
+def _recording_draws(monkeypatch) -> list:
+    """Patch ``sim.sample_overlap`` to keep every array it returns, in order."""
+    draws, sample_overlap = [], sim.sample_overlap
+    monkeypatch.setattr(sim, "sample_overlap",
+                        lambda *args: draws.append(sample_overlap(*args)) or draws[-1])
+    return draws
+
+
+def _circuit_overlaps(matrix, config, thetas, shots, rng):
+    """Gate-level reference of the sampled overlaps: the exact overlap of one
+    Hadamard-test circuit per normalized row of ``matrix`` (row k) and angle
+    vector of ``thetas`` (column b), the encoded row against the trial
+    circuit, all drawn in one ``binomial`` call on ``rng``."""
     n = config.n_qubits
-    v_ops = list(vqls.ansatz_ops(config, theta))
-    y_ops = list(sim.amplitude_encode(y).ops)
-    coeffs = lcu.coefficients()
-    term_ops = [list(t.ops()) for t in lcu.terms]
-    n_terms = len(term_ops)
-    pairs = [(l, m) for l in range(n_terms) for m in range(l + 1, n_terms)]
-
-    exact = [sim.hadamard_test(y_ops, v_ops + ops_l, n) for ops_l in term_ops]
-    exact += [sim.hadamard_test(v_ops + term_ops[l], v_ops + term_ops[m], n)
-              for l, m in pairs]
-    p1 = np.clip((1.0 - np.array(exact)) / 2.0, 0.0, 1.0)
-    estimates = (shots - 2 * np.random.default_rng(seed).binomial(shots, p1)) / shots
-
-    gram = np.eye(n_terms)
-    for (l, m), est in zip(pairs, estimates[n_terms:]):
-        gram[l, m] = gram[m, l] = est
-    numerator = float(coeffs @ estimates[:n_terms]) ** 2
-    denominator = float(coeffs @ gram @ coeffs)
-    if denominator <= 0.0:
-        return 1.0
-    return float(min(max(1.0 - numerator / denominator, 0.0), 1.0))
+    row_ops = [sim.amplitude_encode(row / np.linalg.norm(row)).ops for row in matrix]
+    exact = np.array([[sim.hadamard_test(ops, vqls.ansatz_ops(config, t), n) for t in thetas]
+                      for ops in row_ops])
+    p1 = np.clip((1.0 - exact) / 2.0, 0.0, 1.0)
+    return (shots - 2 * rng.binomial(shots, p1)) / shots
 
 
 @pytest.mark.parametrize("knots", [2, 4])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind):
-    system = _spline_system(knots)
-    y = _normalized_target("relu" if knots == 2 else "sin", knots)
-    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind, monkeypatch):
+    # a point draws its K row overlaps at theta, and its Jacobian at theta +
+    # pi e_j and, on the tree, then theta - pi e_j; both are the per-row
+    # circuits' draws from the point's generator, bit for bit, and the cost
+    # and the Jacobian are formed from them
+    matrix, y, config = _scaled_system("relu" if knots == 2 else "sin", knots, kind)
+    norms = np.linalg.norm(matrix, axis=1)
+    shifts = np.pi * np.eye(config.n_params)
+    if kind == "tree":
+        shifts = np.concatenate((shifts, -shifts))
+    draws = _recording_draws(monkeypatch)
     for seed in (0, 5, 17):
         theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, config.n_params)
         for shots in (100, 50_000):
-            got = vqls.cost_global(system, y, config, theta, mode="shots",
-                                   shots=shots, seed=seed)
-            want = _circuit_shots_cost(system.entries, y / np.linalg.norm(y),
-                                       config, theta, shots, seed)
-            assert got == want
+            draws.clear()
+            cost, jacobian = vqls._shots_point(matrix, y, config, shots,
+                                               np.random.default_rng(seed))(theta)
+            f, jac = jacobian()
+            reference = np.random.default_rng(seed)
+            at_theta = _circuit_overlaps(matrix, config, [theta], shots, reference)
+            shifted = _circuit_overlaps(matrix, config, theta + shifts, shots, reference)
+            assert [d.tobytes() for d in draws] == [at_theta.tobytes(), shifted.tobytes()]
+
+            psi = norms * at_theta[:, 0]
+            assert cost == _reference_terms(np.eye(knots), y, psi)[0]
+            shifted = norms[:, None] * shifted
+            if kind == "tree":
+                P = config.n_params
+                moves = (shifted[:, :P] - shifted[:, P:]) / 4.0
+            else:
+                moves = shifted / 2.0
+            want_f, want_jac = vqls._residual(psi, y)[1](moves)
+            assert f.tobytes() == want_f.tobytes() and jac.tobytes() == want_jac.tobytes()
 
 
 def _reference_state(config, theta):
@@ -259,6 +280,9 @@ def _reference_cost(matrix, y, config, theta):
     return _reference_terms(matrix, y, _reference_state(config, theta))[0]
 
 
+_FD_STEP = 1e-4  # step of the central-difference references
+
+
 def _reference_gradient(f, theta, step):
     """Central differences, one coordinate and two single-point costs at a time."""
     grad = np.empty_like(theta)
@@ -300,7 +324,7 @@ def _counting_trials(monkeypatch):
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_batched_objective_equals_the_per_point_formula(knots, kind, monkeypatch):
+def test_residual_point_costs_equal_the_per_point_formula(knots, kind, monkeypatch):
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 
@@ -331,8 +355,8 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         assert state.tobytes() == _reference_state(config, theta).tobytes()
         jacobian = state_jacobian()
         want_jacobian = np.column_stack([
-            (_reference_state(config, theta + vqls.FD_STEP * e)
-             - _reference_state(config, theta - vqls.FD_STEP * e)) / (2.0 * vqls.FD_STEP)
+            (_reference_state(config, theta + _FD_STEP * e)
+             - _reference_state(config, theta - _FD_STEP * e)) / (2.0 * _FD_STEP)
             for e in np.eye(theta.size)])
         assert np.max(np.abs(jacobian - want_jacobian)) <= 1e-8
 
@@ -345,7 +369,7 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         f, jac = residual_jacobian()
         assert f @ f == pytest.approx(cost, rel=1e-13)
         want = _reference_gradient(
-            lambda t: _reference_cost(matrix, y, config, t), theta, vqls.FD_STEP
+            lambda t: _reference_cost(matrix, y, config, t), theta, _FD_STEP
         )
         assert np.max(np.abs(2.0 * jac.T @ f - want)) <= 1e-6
         again = residual_jacobian()
@@ -454,48 +478,75 @@ def test_shots_point_equals_single_point_costs(kind, monkeypatch):
     y = _normalized_target("sin", 4)
     config = vqls.AnsatzConfig(n_qubits=2, kind=kind)
     thetas = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, (5, config.n_params))
-    point = vqls._shots_point(vqls._lcu_arrays(system.entries), y / np.linalg.norm(y),
-                              config, 1000, 11)
 
     def single(t):
         return vqls.cost_global(system, y, config, t, mode="shots", shots=1000, seed=11)
 
-    assert [point(t)[0] for t in thetas] == [single(t) for t in thetas]
+    def point():
+        return vqls._shots_point(system.entries, y / np.linalg.norm(y), config, 1000,
+                                 np.random.default_rng(11))
 
-    # a point is one sampled cost, and its central-difference gradient 2P more
-    draws, sample_overlap = [], sim.sample_overlap
-    monkeypatch.setattr(sim, "sample_overlap",
-                        lambda *args: draws.append(args) or sample_overlap(*args))
-    cost, gradient = point(thetas[0])
-    grad = gradient()
-    assert len(draws) == 2 * config.n_params + 1
-    assert grad.tobytes() == _reference_gradient(single, thetas[0], vqls.FD_STEP).tobytes()
-    assert cost == single(thetas[0])
+    assert [point()(t)[0] for t in thetas] == [single(t) for t in thetas]
+
+    # points that share a generator draw from it in turn: fresh noise each time
+    shared = point()
+    costs = [shared(thetas[0])[0] for _ in range(3)]
+    assert costs[0] == single(thetas[0]) and len(set(costs)) == 3
+
+    # a point is one sampled overlap per row; its Jacobian one per row and
+    # shifted point, 2P on the tree and P on the brick wall, in one more call
+    draws = _recording_draws(monkeypatch)
+    point()(thetas[0])[1]()
+    shifted_points = (2 if kind == "tree" else 1) * config.n_params
+    assert [d.shape for d in draws] == [(4, 1), (4, shifted_points)]
 
 
 def test_a_sampled_denominator_that_is_not_positive_reads_cost_one(monkeypatch):
-    # at one shot every overlap estimate is +1 or -1, and on the scaled K = 4
-    # system the sampled c^T G c comes out negative or exactly 0 in about one
-    # draw in five; the cost then reads 1, the top of its range, and 0 does
-    # not reach the division
-    matrix, config = _spline_system(4).entries, vqls.AnsatzConfig(n_qubits=2)
-    r, c = bidiagonal_scaling(matrix)
-    matrix, y = r[:, None] * matrix * c, r * _normalized_target("sin", 4)
-    coeffs, _, _, pairs = vqls._lcu_arrays(matrix)
-    n_terms = len(coeffs)
-    draws, sample_overlap = [], sim.sample_overlap
-    monkeypatch.setattr(sim, "sample_overlap",
-                        lambda *args: draws.append(sample_overlap(*args)) or draws[-1])
-    denominators = []
-    for seed in range(60):
+    # at two shots every overlap estimate is -1, 0 or +1, and on the scaled
+    # K = 4 system all four rows draw 0 at once in some points: the sampled
+    # psi, and with it d = psi . psi, is then exactly 0.  The point costs 1,
+    # the top of its range, and 0 does not reach the division; its Jacobian
+    # thunk returns f = 0 and J_f = 0, on which a restart started there
+    # ends on no descent at once, keeping its record
+    matrix, y, config = _scaled_system("sin", 4, "tree")
+    draws = _recording_draws(monkeypatch)
+    vanished = 0
+    for seed in range(200):
         theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, config.n_params)
-        cost = vqls.cost_global(matrix, y, config, theta, mode="shots", shots=1, seed=seed)
-        gram = np.eye(n_terms)
-        gram[pairs] = gram.T[pairs] = draws[-1][n_terms:]
-        denominators.append(float(coeffs @ gram @ coeffs))
-        if denominators[-1] <= 0.0:
-            assert cost == 1.0
-    assert min(denominators) < 0.0 and 0.0 in denominators
+        cost, jacobian = vqls._shots_point(matrix, y, config, 2,
+                                           np.random.default_rng(seed))(theta)
+        if draws[-1].any():
+            continue
+        vanished += 1
+        assert cost == 1.0
+        f, jac = jacobian()
+        assert not f.any() and not jac.any() and jac.shape == (4, config.n_params)
+        point = vqls._shots_point(matrix, y, config, 2, np.random.default_rng(seed))
+        end, cost, trace, reason, points, jacobians = vqls._levenberg_marquardt(point, theta, 5)
+        assert (reason, cost, trace, points, jacobians) == ("no descent", 1.0, [1.0], 1, 1)
+        assert end.tobytes() == theta.tobytes()
+    assert vanished == 3  # at seeds 84, 158 and 165
+
+
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_the_shift_rule_on_sampled_overlaps_is_unbiased(kind):
+    # noiseless, the shift rule is the exact Jacobian S J_v; sampled, each
+    # entry's mean over 200 draws lies within 4 standard errors of it
+    matrix, y, config = _scaled_system("sin", 4, kind)
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, config.n_params)
+    want = matrix @ vqls._trial(config, theta)[1]()
+    noiseless = vqls._sampled_moves(config, theta, lambda states: matrix @ states)
+    assert np.max(np.abs(noiseless - want)) <= 1e-14
+
+    norms = np.linalg.norm(matrix, axis=1)
+    rows, rng = matrix / norms[:, None], np.random.default_rng(4)
+
+    def sample(states):
+        return norms[:, None] * sim.sample_overlap(rows @ states, 1000, rng)
+
+    moves = np.array([vqls._sampled_moves(config, theta, sample) for _ in range(200)])
+    error = moves.std(axis=0, ddof=1) / math.sqrt(len(moves))
+    assert np.all(np.abs(moves.mean(axis=0) - want) <= 4.0 * error + 1e-15)
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])
@@ -549,89 +600,6 @@ def test_shots_mode_requires_a_count():
         with pytest.raises(ValueError, match="positive shot count"):
             vqls.cost_global(np.eye(4), np.ones(4), config, np.zeros(config.n_params),
                              mode="shots", shots=shots)
-
-
-class _Quadratic:
-    """Point function of 0.5 x.(D x) in the basis of the orthogonal
-    ``rotation``, with a thunk for its exact gradient; it logs every cost
-    and every gradient, in order."""
-
-    def __init__(self, diag, rotation):
-        self.diag, self.rotation = np.asarray(diag, dtype=float), rotation
-        self.log = []  # ("cost", x) and ("gradient", x, g)
-
-    def __call__(self, x):
-        self.log.append(("cost", np.array(x)))
-        z = self.rotation.T @ x
-        return 0.5 * float(z @ (self.diag * z)), lambda: self.gradient(x)
-
-    def gradient(self, x):
-        g = self.rotation @ (self.diag * (self.rotation.T @ x))
-        self.log.append(("gradient", np.array(x), g))
-        return g
-
-    def counts(self) -> tuple:
-        """Costs and gradients taken so far."""
-        kinds = [entry[0] for entry in self.log]
-        return kinds.count("cost"), kinds.count("gradient")
-
-    def steepest_steps(self) -> list:
-        """Iterations (0 is the first) whose first trial point is x - g."""
-        trials = [(before, after[1]) for before, after in zip(self.log, self.log[1:])
-                  if before[0] == "gradient" and after[0] == "cost"]
-        return [k for k, ((_, x, g), trial) in enumerate(trials)
-                if np.array_equal(trial, x - g)]
-
-
-def test_bfgs_drives_an_ill_conditioned_quadratic_below_1e_20():
-    rng = np.random.default_rng(15)
-    rotation = np.linalg.qr(rng.standard_normal((15, 15)))[0]
-    f = _Quadratic(np.logspace(0.0, -8.0, 15), rotation)  # condition number 1e8
-    theta, cost, trace, reason, points, gradients = vqls._bfgs(
-        f, rng.uniform(-1.0, 1.0, 15), 200)
-    # the loop counts what it took: a gradient at the start and at every step
-    assert (points, gradients) == f.counts()
-    assert gradients == len(trace)
-    # the first step is along -g; after it the inverse-Hessian estimate steers
-    assert f.steepest_steps() == [0]
-    assert cost < 1e-20
-    assert trace[-1] == cost == f(theta)[0]
-    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert reason == "max_iter" and len(trace) == 201
-
-
-def test_bfgs_resets_h_when_rounding_leaves_no_descent_direction():
-    # on a 2-D quadratic the loop reaches about 1e-200 within 20 iterations;
-    # there the inverse update loses positive definiteness to rounding, and
-    # -Hg stops being a descent direction.  The loop must fall back to -g
-    # and go on, not stop at the first step that fails to descend.
-    f = _Quadratic([1.0, 1e-8], np.eye(2))
-    _, cost, trace, reason, points, gradients = vqls._bfgs(
-        f, np.random.default_rng(2).uniform(-1.0, 1.0, 2), 40)
-    assert (points, gradients) == f.counts()
-    steepest = f.steepest_steps()
-    assert steepest[0] == 0 and len(steepest) > 1  # resets after the first step
-    assert reason == "max_iter" and len(trace) == 41 == gradients
-    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert cost < 1e-200
-
-
-def test_bfgs_ends_a_line_search_at_the_first_step_that_rounds_to_theta():
-    # a flat cost with a fixed nonzero gradient: no step size lowers it, and
-    # once a candidate rounds back to theta every smaller step does too
-    theta0, grad = np.array([1.0, 2.0]), np.array([0.5, 0.25])
-    taken = []
-
-    def point(x):
-        taken.append(x)
-        return 1.0, lambda: grad
-
-    _, cost, trace, reason, points, gradients = vqls._bfgs(point, theta0, 5)
-    first_unmoved = next(h for h in range(61)
-                         if (theta0 - 0.5**h * grad).tobytes() == theta0.tobytes())
-    assert first_unmoved < 60  # well short of the 61-halving cap
-    assert reason == "no descent" and trace == [cost] == [1.0] and gradients == 1
-    assert points == len(taken) == 1 + first_unmoved  # the start, then each halving before
 
 
 def test_levenberg_marquardt_solves_a_linear_residual_to_its_rounding_floor():
@@ -739,110 +707,6 @@ def test_levenberg_marquardt_counts_a_singular_damped_system_as_a_rejected_trial
     # no singular trial built a point, and the first solvable one moved theta
     assert points == len(taken) == 2 and taken[1].tobytes() == want.tobytes()
     assert reason == "max_iter" and jacobians == 1 and cost == trace[1] < trace[0] == 1.0
-
-
-def _frozen_bfgs(point, theta0, max_iter):
-    """The BFGS loop before its stale-H reset, frozen: np.outer for the
-    rank-one terms and np.isfinite for the gradient check."""
-    theta = theta0.astype(float).copy()
-    cost, gradient = point(theta)
-    grad = gradient()
-    trace = [cost]
-    h = None
-    for _ in range(max_iter):
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0 or not np.isfinite(gnorm2):
-            break
-        step = -grad if h is None else -(h @ grad)
-        slope = float(grad @ step)
-        if not slope < 0.0:
-            h, step, slope = None, -grad, -gnorm2
-        for halvings in range(61):
-            alpha = 0.5**halvings
-            candidate = theta + alpha * step
-            new_cost, gradient = point(candidate)
-            if new_cost < cost and new_cost <= cost + 1e-4 * alpha * slope:
-                break
-        else:
-            break
-        new_grad = gradient()
-        s, y = candidate - theta, new_grad - grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            if h is None:
-                h = (sy / float(y @ y)) * np.eye(theta.size)
-            hy = h @ y
-            h += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
-        theta, cost, grad = candidate, new_cost, new_grad
-        trace.append(cost)
-    return theta, trace
-
-
-def test_bfgs_update_is_bitwise_the_frozen_loop_on_a_quadratic():
-    # no step of this descent needs ten halvings, so the reset never fires
-    # and the broadcast outer products must give the frozen loop's bytes
-    rng = np.random.default_rng(15)
-    rotation = np.linalg.qr(rng.standard_normal((15, 15)))[0]
-    theta0 = rng.uniform(-1.0, 1.0, 15)
-    f = _Quadratic(np.logspace(0.0, -8.0, 15), rotation)
-    theta, _, trace, *_ = vqls._bfgs(f, theta0, 200)
-    want_theta, want_trace = _frozen_bfgs(f, theta0, 200)
-    assert theta.tobytes() == want_theta.tobytes()
-    assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
-
-
-def _adjoint_sweep(matrix, config, theta, terms):
-    """Gradient of the exact cost on the rotation tree in one backward sweep
-    over the forward pass at ``theta``, whose state has the cost terms
-    ``terms`` of ``_reference_terms``.
-
-    The sweep starts from g = dC/dv = S^T (2/d)(r - C psi).  Each leaf
-    amplitude is a product of one factor per level, cos(t/2) or sin(t/2) of
-    the angle on its path, so at level l it contributes (prefix above l) x
-    (product of the factors below l) x g to the sum u_L or u_R of its
-    angle's cosine or sine branch; the products below come from one running
-    product up the levels, seeded with g, and one bincount sums each
-    branch.  Then dC/dt = (cos(t/2) u_R - sin(t/2) u_L) / 2.
-    """
-    cost, psi, residual, denom = terms
-    g = matrix.T @ ((2.0 / denom) * (residual - cost * psi))
-    # the forward pass: [1 | cos | sin] of the half angles, their gather into
-    # one factor per level and leaf, and the running product down the levels
-    trig = np.concatenate(([1.0], np.cos(theta / 2.0), np.sin(theta / 2.0)))
-    index = vqls._tree_index(config.n_qubits)[0]
-    factors = trig[index]
-    amps = np.multiply.accumulate(factors, axis=0)
-    # row k: g times the factors of the k deepest levels, so reversed,
-    # row l is g times the factors below level l
-    below = np.concatenate((g[None], factors[:1:-1]))
-    np.multiply.accumulate(below, axis=0, out=below)
-    # summed into the bins of trig: u_L at each cosine, u_R at each sine
-    sums = np.bincount(index[1:].ravel(),
-                       (amps[:-1] * below[::-1]).ravel(), minlength=trig.size)
-    split = config.n_params + 1
-    return (trig[1:split] * sums[split:] - trig[split:] * sums[1:split]) / 2.0
-
-
-@pytest.mark.parametrize(("function", "restart"), [("relu", 3), ("sin", 0)])
-def test_bfgs_does_not_walk_the_rounding_floor_on_a_stale_h(function, restart):
-    # near cost 1e-27 the cost's rounding hides the curvature, and an H kept
-    # from above the floor proposes steps that only pass at alpha = 2^-11;
-    # resetting H after such a step keeps the floor to a few iterations.
-    # Without the reset, the sin restart spends 45 iterations there.
-    matrix, config = _spline_system(16).entries, vqls.AnsatzConfig(n_qubits=4)
-    y = vqls._y_vector(oracle.fit_classical(function, 16).y_target)  # unscaled S and y
-    rng = np.random.default_rng(np.random.SeedSequence((42, restart)))
-    theta0 = rng.uniform(0.0, 2.0 * math.pi, config.n_params)
-
-    def point(theta):
-        # the exact cost, with the adjoint sweep's gradient: on these starts
-        # the rounding of 2 J_f^T f happens not to call for the reset
-        terms = _reference_terms(matrix, y, vqls._trial(config, theta)[0])
-        return terms[0], lambda: _adjoint_sweep(matrix, config, theta, terms)
-
-    _, cost, trace, reason, *_ = vqls._bfgs(point, theta0, vqls.MAX_ITER)
-    assert cost < 1e-26 and reason == "no descent"
-    assert sum(c < 1e-20 for c in trace) <= 30
 
 
 @pytest.mark.parametrize("seed", [42, 7])

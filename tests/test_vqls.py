@@ -324,7 +324,7 @@ def _counting_trials(monkeypatch):
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_residual_point_costs_equal_the_per_point_formula(knots, kind, monkeypatch):
+def test_batched_objective_equals_the_per_point_formula(knots, kind, monkeypatch):
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 

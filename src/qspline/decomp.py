@@ -11,16 +11,14 @@ Two entry points:
 Coefficients are always real.  Strings with an odd number of Y factors have
 purely imaginary trace coefficients against a real matrix, so the factor i
 is folded into the unitary itself (i*Y is the real rotation Ry(3*pi)); that
-keeps every term a real coefficient times a real unitary.  The shots cost
-relies on that: its term states ``A_l V|0>`` are real vectors, so every
-overlap is real and one real-part Hadamard test per pair estimates it.
+keeps every term a real coefficient times a real unitary.
 
 Every term is a signed permutation, ``X^x Z^z |j> = (-1)**popcount(j & z)
 |j ^ x>``, and its global factor ``i**(phase + #Y)`` is +-1, so
 :func:`signed_permutations` gives each term as an index map and a sign
-vector: :func:`reconstruct` scatters those into a real matrix, and the
-shots cost gathers with them.  One map, :func:`_pauli_masks`, takes factors
-to (x, z, #Y) for both :func:`pauli_decompose` and :func:`signed_permutations`.
+vector, which :func:`reconstruct` scatters into a real matrix.  One map,
+:func:`_pauli_masks`, takes factors to (x, z, #Y) for both
+:func:`pauli_decompose` and :func:`signed_permutations`.
 """
 
 from __future__ import annotations

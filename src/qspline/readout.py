@@ -9,7 +9,7 @@ variational solve only pins the solution ray, not its orientation.
 Exact mode reads the overlaps straight off ``S @ beta``.  Shots mode gives
 each one the noise of a Hadamard test between the encoded row and the
 encoded state, all rows drawn together from one seeded generator by
-:func:`sim.sample_overlap`; the tests check it against the per-row circuits.
+:func:`sim.sample_rows`; the tests check it against the per-row circuits.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def recover_estimates(
     Flipping the sign of ``beta_state`` flips both every overlap and the
     sign correction, so the output is unchanged bit for bit in exact mode.
     Shots mode samples every row's overlap ``(S beta)_k / |x_k|`` in one
-    :func:`sim.sample_overlap` call seeded with ``seed``, row k taking the
+    :func:`sim.sample_rows` call seeded with ``seed``, row k taking the
     generator's k-th draw; the sampler checks ``shots``.
     """
     matrix = as_matrix(system)
@@ -74,11 +74,9 @@ def recover_estimates(
         raise ValueError("y_norm must be unit-norm (normalize the targets first)")
 
     vqls.check_mode(mode)
-    # row by row, the same arithmetic as normalizing each row for its circuit
-    row_norms = np.array([float(np.linalg.norm(row)) for row in matrix])
-    for k, norm in enumerate(row_norms, start=1):
-        if norm < SCALE_TOL:
-            raise ValueError(f"row {k} is zero and cannot be normalized")
+    zero = np.flatnonzero(np.linalg.norm(matrix, axis=1) < SCALE_TOL)
+    if zero.size:
+        raise ValueError(f"row {zero[0] + 1} is zero and cannot be normalized")
 
     beta = _real_state_vector(beta_state)
     mapped = matrix @ beta
@@ -90,5 +88,5 @@ def recover_estimates(
 
     if mode == "exact":
         return EstimateVector(values=sign * mapped * scale, scale=scale, sign=sign)
-    values = sign * row_norms * sim.sample_overlap(mapped / row_norms, shots, seed) * scale
+    values = sign * sim.sample_rows(matrix, beta, shots, seed) * scale
     return EstimateVector(values=values, scale=scale, sign=sign)

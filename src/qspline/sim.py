@@ -12,11 +12,12 @@ by reshaping the dense amplitude vector rather than by sparse tricks.
 
 The fitting pipeline reads every overlap as a dot product of statevectors
 and draws the shot estimates of one evaluation together, from one seeded
-generator, with :func:`sample_overlap`.  The circuits here
-(:func:`amplitude_encode`, :func:`controlled_ops`, :func:`hadamard_test`) are
-the gate-level reference the tests hold it to; the sampled Hadamard test
-makes the same draw from its ancilla probability as the first element of
-:func:`sample_overlap` with the same seed.
+generator, with :func:`sample_overlap`; :func:`sample_rows` draws so the
+row overlaps of a matrix, for the shots cost and the readout alike.  The
+circuits (:func:`amplitude_encode`, :func:`controlled_ops`,
+:func:`hadamard_test`) are the gate-level reference the tests hold them to;
+the sampled Hadamard test makes the same draw from its ancilla probability
+as the first element of :func:`sample_overlap` with the same seed.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "controlled_ops",
     "hadamard_test",
     "sample_overlap",
+    "sample_rows",
     "check_count",
     "check_shots",
     "qubit_count",
@@ -399,6 +401,16 @@ def sample_overlap(overlaps, shots: int, seed=None) -> np.ndarray:
     """
     p1 = np.clip((1.0 - np.asarray(overlaps, dtype=float)) / 2.0, 0.0, 1.0)
     return _draw(p1, shots, seed)
+
+
+def sample_rows(matrix: np.ndarray, states: np.ndarray, shots: int, seed=None) -> np.ndarray:
+    """Shot estimates of ``matrix @ states`` for one state or a ``(2^n, B)``
+    array of them: entry k is |a_k| times the overlap (M states)_k / |a_k| of
+    the normalized row a_k, all drawn in one :func:`sample_overlap` call."""
+    norms = np.linalg.norm(matrix, axis=1)
+    if np.ndim(states) == 2:
+        norms = norms[:, None]
+    return norms * sample_overlap((matrix @ states) / norms, shots, seed)
 
 
 def qubit_count(size: int) -> int:

@@ -25,11 +25,11 @@ where float64 cannot tell it from 0.
 Exact mode (:func:`_residual_point`) takes psi and its Jacobian S J_v from
 matrix algebra.  Shots mode (:func:`_shots_point`) samples them: entry k of
 psi is |a_k| times the overlap of the normalized row a_k of S with v, one
-Hadamard test, and one :func:`sim.sample_overlap` call draws all K of a
-point from the restart's generator, so every evaluation sees fresh noise.
-Its thunk samples the same rows against the shifted states and applies the
-parameter-shift rule (Mitarai et al., PRA 98, 032309, 2018; Schuld et al.,
-PRA 99, 032331, 2019), :func:`_sampled_moves`.
+Hadamard test, and one :func:`sim.sample_rows` call draws all K of a point
+from the restart's generator, so every evaluation sees fresh noise.  Its
+thunk samples the same rows at the shifted states of the parameter-shift
+rule (Mitarai et al., PRA 98, 032309, 2018; Schuld et al., PRA 99, 032331,
+2019), which :func:`_sampled_moves` reads off the point's v and J_v.
 V(theta) is a rotation tree, or a brick wall of CZ and Ry layers with at
 least twice the tree's 2^n - 1 angles; :func:`ansatz_ops` lists its gates,
 which the tests run against the sampled overlaps.
@@ -184,8 +184,9 @@ def _brick_wall(config: AnsatzConfig, cos: np.ndarray, sin: np.ndarray) -> np.nd
 @lru_cache(maxsize=16)
 def _tree_index(n_qubits: int) -> tuple:
     """Index tables of the rotation tree, read-only: its ``(n + 1, 2^n)``
-    gather into ``[1 | cos | sin]`` of its half angles, and the ``(n, 2^n)``
-    flat positions of the gathered factors in its ``(2^n, P)`` Jacobian.
+    gather into ``[1 | cos | sin]`` of its half angles, the ``(n, 2^n)``
+    flat positions of the gathered factors in its ``(2^n, P)`` Jacobian, and
+    the mask of those positions, true where a leaf is in an angle's subtree.
 
     Row 0 of the gather picks the 1; row l + 1 picks, for each leaf, the
     factor that level l contributes on the leaf's path: for the angle of
@@ -201,8 +202,10 @@ def _tree_index(n_qubits: int) -> tuple:
     index = np.zeros((n + 1, dim), dtype=np.intp)
     index[1:] = 1 + angle + (dim - 1) * branch
     cells = leaves * (dim - 1) + angle
-    index.flags.writeable = cells.flags.writeable = False
-    return index, cells
+    subtree = np.zeros((dim, dim - 1), dtype=bool)
+    subtree.flat[cells] = True
+    index.flags.writeable = cells.flags.writeable = subtree.flags.writeable = False
+    return index, cells, subtree
 
 
 _ONE, _ZERO = np.ones(1), np.zeros(1)
@@ -235,7 +238,7 @@ def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
     half = theta / 2.0
     cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        index, cells = _tree_index(n)
+        index, cells, _ = _tree_index(n)
         factors = np.concatenate((_ONE, cos, sin))[index]
         amps = np.multiply.accumulate(factors, axis=0)
         rows = index[1:]
@@ -336,39 +339,29 @@ def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> 
     return point
 
 
-def _shift_signs(config: AnsatzConfig) -> tuple:
-    """Signs s of the points theta + s pi e_j at which :func:`_sampled_moves`
-    samples psi: both on the tree, + alone on the brick wall."""
-    return (1.0, -1.0) if config.kind == "tree" else (1.0,)
-
-
-def _sampled_moves(config: AnsatzConfig, theta: np.ndarray, sample: Callable) -> np.ndarray:
-    """Jacobian of psi at ``theta`` by the parameter-shift rule, from
-    ``sample``, which maps a ``(2^n, B)`` array of states to psi sampled at
-    each, ``(K, B)``.
+def _sampled_moves(config: AnsatzConfig, state: np.ndarray, jacobian: np.ndarray,
+                   sample: Callable) -> np.ndarray:
+    """Jacobian of psi by the parameter-shift rule, from ``sample``, which
+    maps a ``(2^n, B)`` array of states to psi sampled at each, ``(K, B)``;
+    ``state`` and ``jacobian`` are v and J_v from the point's :func:`_trial`.
 
     Advancing angle j by +-pi turns its half-angle pair (cos, sin) into
-    +-(-sin, cos), exactly.  Every amplitude of both circuits has frequency
-    1/2 in every angle, so dpsi/dtheta_j = [psi(theta + pi e_j) -
+    +-(-sin, cos), exactly, which is +-2 times its derivative, so the
+    shifted states are read off J_v.  Every amplitude of both circuits has
+    frequency 1/2 in every angle, so dpsi/dtheta_j = [psi(theta + pi e_j) -
     psi(theta - pi e_j)] / 4; the tree samples its P advanced states, then
-    its P retreated ones.  On the brick wall each angle sits in one gate,
-    dRy(t)/dt = Ry(t + pi) / 2, so its P advanced states suffice:
-    dpsi/dtheta_j = psi(theta + pi e_j) / 2.  That one-shift form does not
-    hold on the tree, whose leaves off angle j's subtree do not move.
+    its P retreated ones, each +-2 J_v on the leaves below angle j and v
+    elsewhere.  On the brick wall each angle sits in one gate, so the
+    advanced state is 2 J_v, the walls :func:`_trial` built, and those P
+    suffice: dpsi/dtheta_j = psi(theta + pi e_j) / 2.  That one-shift form
+    does not hold on the tree, whose leaves off angle j's subtree do not move.
     """
-    n_params, signs = theta.size, _shift_signs(config)
-    cols = np.arange(len(signs) * n_params)
-    angle, sign = cols % n_params, np.repeat(signs, n_params)
-    half = theta / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    cos_cols, sin_cols = np.tile(cos[:, None], cols.size), np.tile(sin[:, None], cols.size)
-    cos_cols[angle, cols] = -sign * sin[angle]
-    sin_cols[angle, cols] = sign * cos[angle]
+    shift = 2.0 * jacobian
     if config.kind == "layered":
-        return sample(_brick_wall(config, cos_cols, sin_cols)) / 2.0
-    factors = np.concatenate((np.ones((1, cols.size)), cos_cols, sin_cols))
-    shifted = sample(np.multiply.reduce(factors[_tree_index(config.n_qubits)[0]], axis=0))
-    return (shifted[:, :n_params] - shifted[:, n_params:]) / 4.0
+        return sample(shift) / 2.0
+    subtree = np.tile(_tree_index(config.n_qubits)[2], 2)
+    shifted = sample(np.where(subtree, np.hstack((shift, -shift)), state[:, None]))
+    return (shifted[:, :config.n_params] - shifted[:, config.n_params:]) / 4.0
 
 
 def _shots_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, shots: int,
@@ -378,7 +371,7 @@ def _shots_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, shots:
 
     Entry k of psi = S v is |a_k| times the overlap of the normalized row
     a_k with v, a real overlap that one Hadamard test estimates; a point
-    samples the K of them in one :func:`sim.sample_overlap` call, and its
+    samples the K of them in one :func:`sim.sample_rows` call, and its
     thunk samples them at the shifted states of :func:`_sampled_moves` in
     one more.  The sampled psi is never clipped.  At an even shot count it
     can draw 0 in every row at once; that point costs 1, so as a trial it is
@@ -386,18 +379,16 @@ def _shots_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, shots:
     the loop's step rounds back to theta and ends the restart on
     ``"no descent"``.
     """
-    norms = np.linalg.norm(matrix, axis=1)
-    rows = matrix / norms[:, None]
-
     def sample(states: np.ndarray) -> np.ndarray:
-        return norms[:, None] * sim.sample_overlap(rows @ states, shots, rng)
+        return sim.sample_rows(matrix, states, shots, rng)
 
     def point(theta: np.ndarray) -> tuple:
-        psi = sample(_trial(config, theta)[0][:, None])[:, 0]
+        state, state_jacobian = _trial(config, theta)
+        psi = sample(state[:, None])[:, 0]
         cost, jacobian = _residual(psi, y)
 
         def sampled_jacobian() -> tuple:
-            moves = _sampled_moves(config, theta, sample)
+            moves = _sampled_moves(config, state, state_jacobian(), sample)
             if jacobian is None:
                 return np.zeros_like(psi), np.zeros_like(moves)
             return jacobian(moves)
@@ -571,7 +562,7 @@ def solve(
     if cfg.mode == "exact":
         point, jacobian_rows = _residual_point(matrix, y_vec, ans), 1
     else:
-        jacobian_rows = len(_shift_signs(ans)) * ans.n_params
+        jacobian_rows = (2 if ans.kind == "tree" else 1) * ans.n_params
 
     best = None
     records = []

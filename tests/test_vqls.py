@@ -324,7 +324,7 @@ def _counting_trials(monkeypatch):
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_batched_objective_equals_the_per_point_formula(knots, kind, monkeypatch):
+def test_residual_point_costs_equal_the_per_point_formula(knots, kind, monkeypatch):
     matrix, y, config = _elu_system(knots, kind)
     thetas = np.random.default_rng(knots).uniform(0.0, 2.0 * np.pi, (24, config.n_params))
 
@@ -535,7 +535,9 @@ def test_the_shift_rule_on_sampled_overlaps_is_unbiased(kind):
     matrix, y, config = _scaled_system("sin", 4, kind)
     theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, config.n_params)
     want = matrix @ vqls._trial(config, theta)[1]()
-    noiseless = vqls._sampled_moves(config, theta, lambda states: matrix @ states)
+    state, state_jacobian = vqls._trial(config, theta)
+    noiseless = vqls._sampled_moves(config, state, state_jacobian(),
+                                    lambda states: matrix @ states)
     assert np.max(np.abs(noiseless - want)) <= 1e-14
 
     norms = np.linalg.norm(matrix, axis=1)
@@ -544,9 +546,29 @@ def test_the_shift_rule_on_sampled_overlaps_is_unbiased(kind):
     def sample(states):
         return norms[:, None] * sim.sample_overlap(rows @ states, 1000, rng)
 
-    moves = np.array([vqls._sampled_moves(config, theta, sample) for _ in range(200)])
+    moves = np.array([vqls._sampled_moves(config, state, state_jacobian(), sample)
+                      for _ in range(200)])
     error = moves.std(axis=0, ddof=1) / math.sqrt(len(moves))
     assert np.all(np.abs(moves.mean(axis=0) - want) <= 4.0 * error + 1e-15)
+
+
+@pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_the_shift_rule_samples_the_shifted_reference_states(knots, kind):
+    # the states handed to the sampler are the trial states at theta + pi e_j
+    # and, on the tree, then at theta - pi e_j, in the order solve counts them
+    config = vqls.AnsatzConfig(n_qubits=knots.bit_length() - 1, kind=kind)
+    theta = np.random.default_rng(200 + knots).uniform(0.0, 2.0 * np.pi, config.n_params)
+    shifts = np.pi * np.eye(config.n_params)
+    if kind == "tree":
+        shifts = np.concatenate((shifts, -shifts))
+    want = np.column_stack([_reference_state(config, theta + shift) for shift in shifts])
+    handed = []
+    state, state_jacobian = vqls._trial(config, theta)
+    vqls._sampled_moves(config, state, state_jacobian(),
+                        lambda states: handed.append(states) or states)
+    assert len(handed) == 1 and handed[0].shape == want.shape
+    assert np.max(np.abs(handed[0] - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

@@ -8,7 +8,7 @@ unity extends to the final knot.
 The spline system is degree 1: :func:`design_matrix_d1` puts ``(1 - x_k,
 x_k)`` on the diagonal and superdiagonal of interior row k, with unit rows at
 both ends, and :func:`build_system` is the one place that builds it on the
-K-point unit grid.  :func:`as_matrix` is the one way the solvers and the
+K-point unit grid, once per K.  :func:`as_matrix` is the one way the solvers and the
 readout turn a system, given as a :class:`DesignMatrix` or as an array, into
 a matrix, and :func:`bidiagonal_scaling` the one way to equilibrate it.
 """
@@ -16,6 +16,7 @@ a matrix, and :func:`bidiagonal_scaling` the one way to equilibrate it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -156,9 +157,13 @@ def design_matrix_d1(points: Sequence[float]) -> DesignMatrix:
     return DesignMatrix(entries=entries)
 
 
+@lru_cache(maxsize=16)
 def build_system(knots: int) -> tuple[DesignMatrix, np.ndarray]:
-    """The degree-1 spline system on the ``knots``-point unit grid, and the grid."""
+    """The degree-1 spline system on the ``knots``-point unit grid, and the
+    grid; built on the first call for each ``knots``, and every call returns
+    the same read-only arrays."""
     grid = sample_grid(knots, (0.0, 1.0))
+    grid.flags.writeable = False
     return design_matrix_d1(grid), grid
 
 

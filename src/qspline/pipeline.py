@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,21 @@ class FitConfig:
                 vqls.AnsatzConfig(n_qubits=sim.qubit_count(self.knots), kind=self.ansatz))
 
 
+@lru_cache(maxsize=len(_ALLOWED_KNOTS))
+def _system(knots: int) -> tuple:
+    """S on the ``knots``-point grid, its cond after the singularity check,
+    its scalings (r, c) and R S D, read-only and built once per ``knots``; a
+    singular S raises on every call, as a raise is never cached."""
+    matrix = build_system(knots)[0].entries
+    # scaled, even a numerically singular S looks well conditioned
+    condition_number = vqls.check_invertible(matrix)
+    r, c = bidiagonal_scaling(matrix)
+    scaled = r[:, None] * matrix * c
+    for array in (r, c, scaled):
+        array.flags.writeable = False
+    return matrix, condition_number, r, c, scaled
+
+
 def fit(config: FitConfig) -> FitReport:
     """Run one full fit and package the result."""
     started = time.perf_counter()
@@ -80,10 +96,7 @@ def fit(config: FitConfig) -> FitReport:
     classical_s = time.perf_counter() - started
 
     y01 = np.asarray(classical.y_target)
-    matrix = build_system(config.knots)[0].entries
-    # scaled, even a numerically singular S looks well conditioned
-    condition_number = vqls.check_invertible(matrix)
-    r, c = bidiagonal_scaling(matrix)
+    matrix, condition_number, r, c, scaled = _system(config.knots)
     solve_cfg, ansatz_cfg = config.solver()
     # disjoint from the restart substreams (seed, 0..restarts-1), and named in rng;
     # drawn before the stage clocks, so the first fit's lazy import of
@@ -91,7 +104,7 @@ def fit(config: FitConfig) -> FitReport:
     readout_seed = int(np.random.SeedSequence((config.seed, 1 << 20)).generate_state(1)[0])
 
     solving = time.perf_counter()
-    solution = vqls.solve(r[:, None] * matrix * c, r * y01, solve_cfg, ansatz_cfg)
+    solution = vqls.solve(scaled, r * y01, solve_cfg, ansatz_cfg)
     solved = time.perf_counter()
     y_unit = y01 / float(np.linalg.norm(y01))
     # the rows of S D reach norms near 1e8 at K = 32, and each scales its

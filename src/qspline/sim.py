@@ -406,8 +406,12 @@ def sample_overlap(overlaps, shots: int, seed=None) -> np.ndarray:
 def sample_rows(matrix: np.ndarray, states: np.ndarray, shots: int, seed=None) -> np.ndarray:
     """Shot estimates of ``matrix @ states`` for one state or a ``(2^n, B)``
     array of them: entry k is |a_k| times the overlap (M states)_k / |a_k| of
-    the normalized row a_k, all drawn in one :func:`sample_overlap` call."""
+    the normalized row a_k, all drawn in one :func:`sample_overlap` call.  A
+    zero row has no normalized row to encode, and is refused by its number."""
     norms = np.linalg.norm(matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"row {zero[0] + 1} is zero and cannot be normalized")
     if np.ndim(states) == 2:
         norms = norms[:, None]
     return norms * sample_overlap((matrix @ states) / norms, shots, seed)

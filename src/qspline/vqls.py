@@ -15,21 +15,23 @@ column j of J_v is half the state at angle j + pi, from the state's own walk.
 Each mode's cost lives in its point function, theta -> (cost, thunk), and
 :func:`cost_global` is that function's cost.  Both modes take the cost
 straight from psi = S v, as ``C = |r|^2 / d`` with ``d = psi . psi`` and the
-residual ``r = psi - (Y . psi) Y`` (:func:`_residual`): the same number as
-``1 - (Y . psi)^2 / d`` without its cancellation near a solution.  That
-makes C = f . f for f = r / sqrt(d), a least-squares cost whose minimum is
-0, so each restart runs Levenberg-Marquardt steps (Levenberg, 1944;
-Marquardt, 1963) built from the Jacobian of f, which follows from that of
-psi, until the cost is at its rounding floor len(f) eps^2 (``"floor"``),
-where float64 cannot tell it from 0.
-Exact mode (:func:`_residual_point`) takes psi and its Jacobian S J_v from
-matrix algebra.  Shots mode (:func:`_shots_point`) samples them: entry k of
-psi is |a_k| times the overlap of the normalized row a_k of S with v, one
-Hadamard test, and one :func:`sim.sample_rows` call draws all K of a point
-from the restart's generator, so every evaluation sees fresh noise.  Its
-thunk samples the same rows at the shifted states of the parameter-shift
-rule (Mitarai et al., PRA 98, 032309, 2018; Schuld et al., PRA 99, 032331,
-2019), which :func:`_sampled_moves` reads off the point's v and J_v.
+residual ``r = P psi`` for the projector ``P = I - Y Y^T`` (:func:`_residual`):
+the same number as ``1 - (Y . psi)^2 / d`` without its cancellation near a
+solution.  That makes C = f . f for f = r / sqrt(d), a least-squares cost
+whose minimum is 0, so each restart runs Levenberg-Marquardt steps
+(Levenberg, 1944; Marquardt, 1963) built from the Jacobian of f, which
+follows from those of psi and r, until the cost is at its rounding floor
+len(f) eps^2 (``"floor"``), where float64 cannot tell it from 0.
+Exact mode (:func:`_residual_point`) stacks S and P S once per solve, so one
+product with v gives psi and r, and one with J_v gives their Jacobians
+S J_v and P S J_v.  Shots mode (:func:`_shots_point`) samples psi and its
+Jacobian and projects both: entry k of psi is |a_k| times the overlap of
+the normalized row a_k of S with v, one Hadamard test, and one
+:func:`sim.sample_rows` call draws all K of a point from the restart's
+generator, so every evaluation sees fresh noise.  Its thunk samples the
+same rows at the shifted states of the parameter-shift rule (Mitarai et
+al., PRA 98, 032309, 2018; Schuld et al., PRA 99, 032331, 2019), which
+:func:`_sampled_moves` reads off the point's v and J_v.
 V(theta) is a rotation tree, or a brick wall of CZ and Ry layers with at
 least twice the tree's 2^n - 1 angles; :func:`ansatz_ops` lists its gates,
 which the tests run against the sampled overlaps.
@@ -185,14 +187,17 @@ def _brick_wall(config: AnsatzConfig, cos: np.ndarray, sin: np.ndarray) -> np.nd
 def _tree_index(n_qubits: int) -> tuple:
     """Index tables of the rotation tree, read-only: its ``(n + 1, 2^n)``
     gather into ``[1 | cos | sin]`` of its half angles, the ``(n, 2^n)``
-    flat positions of the gathered factors in its ``(2^n, P)`` Jacobian, and
-    the mask of those positions, true where a leaf is in an angle's subtree.
+    flat positions of the gathered factors in its ``(2^n, P)`` Jacobian, the
+    mask of those positions, true where a leaf is in an angle's subtree, and
+    the ``(n, 2^n)`` swap gather and signed halves of the factors' slopes.
 
     Row 0 of the gather picks the 1; row l + 1 picks, for each leaf, the
     factor that level l contributes on the leaf's path: for the angle of
     node ``leaf >> (n - l)`` of that level, its cosine where bit n - 1 - l
     of the leaf is 0 and its sine where it is 1.  That factor's position is
-    leaf x P plus its angle.
+    leaf x P plus its angle.  The swap gather picks the other of the two,
+    and times -1/2 for a cosine and 1/2 for a sine it is the factor's
+    derivative in its angle.
     """
     n, dim = n_qubits, 1 << n_qubits
     leaves = np.arange(dim)
@@ -201,14 +206,17 @@ def _tree_index(n_qubits: int) -> tuple:
     branch = (leaves >> (n - 1 - level)) & 1
     index = np.zeros((n + 1, dim), dtype=np.intp)
     index[1:] = 1 + angle + (dim - 1) * branch
+    swap = 1 + angle + (dim - 1) * (1 - branch)
+    halves = branch - 0.5
     cells = leaves * (dim - 1) + angle
     subtree = np.zeros((dim, dim - 1), dtype=bool)
     subtree.flat[cells] = True
-    index.flags.writeable = cells.flags.writeable = subtree.flags.writeable = False
-    return index, cells, subtree
+    for table in (index, cells, subtree, swap, halves):
+        table.flags.writeable = False
+    return index, cells, subtree, swap, halves
 
 
-_ONE, _ZERO = np.ones(1), np.zeros(1)
+_ONE = np.ones(1)
 
 
 def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
@@ -238,20 +246,20 @@ def _trial(config: AnsatzConfig, theta: np.ndarray) -> tuple:
     half = theta / 2.0
     cos, sin = np.cos(half), np.sin(half)
     if config.kind == "tree":
-        index, cells, _ = _tree_index(n)
-        factors = np.concatenate((_ONE, cos, sin))[index]
+        index, cells, _, swap, halves = _tree_index(n)
+        table = np.concatenate((_ONE, cos, sin))
+        factors = table[index]
         amps = np.multiply.accumulate(factors, axis=0)
-        rows = index[1:]
 
         def tree_jacobian() -> np.ndarray:
             dim = 1 << n
-            # [0 | -sin/2 | cos/2]: each factor's derivative in its own angle
-            slopes = np.concatenate((_ZERO, sin / -2.0, cos / 2.0))
             # row l: the product of the factors of the levels below l
-            below = np.concatenate((np.multiply.accumulate(factors[:1:-1], axis=0)[::-1],
-                                    np.ones((1, dim))))
+            below = np.empty((n, dim))
+            below[-1] = 1.0
+            np.multiply.accumulate(factors[:1:-1], axis=0, out=below[-2::-1])
             jacobian = np.zeros(dim * n_params)
-            jacobian[cells] = amps[:-1] * slopes[rows] * below
+            # each factor's derivative in its own angle: -sin/2 or cos/2
+            jacobian[cells] = amps[:-1] * (table[swap] * halves) * below
             return jacobian.reshape(dim, n_params)
 
         return amps[-1], tree_jacobian
@@ -298,25 +306,30 @@ def check_invertible(matrix: np.ndarray) -> float:
     return cond
 
 
-def _residual(psi: np.ndarray, y: np.ndarray) -> tuple:
-    """The cost C = f . f at ``psi``, f = r / sqrt(d), and a map from psi's
-    Jacobian M to f and the Jacobian of f; the map is None, and C is 1, where
-    psi vanishes.
+def _project(y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a`` less its part along the unit vector ``y``, (I - y y^T) a, for a
+    vector or column by column for a matrix."""
+    return a - np.multiply.outer(y, y @ a)
 
-    With d = psi . psi and the residual r = psi - (y . psi) y, the cost is
-    C = (r . r) / d.  It equals 1 - (y . psi)^2 / d but keeps its digits
-    near a solution, where that difference of two numbers close to 1 cannot
-    go below about 1e-16.  Where psi moves along M, the residual moves along
-    P M for the projector P = I - y y^T, and sqrt(d) along psi^T M / sqrt(d),
-    so J_f = (P M - r (psi^T M) / d) / sqrt(d).
+
+def _residual(psi: np.ndarray, residual: np.ndarray) -> tuple:
+    """The cost C = f . f at ``psi``, f = r / sqrt(d), and a map from psi's
+    Jacobian M and its projection P M to f and the Jacobian of f; the map is
+    None, and C is 1, where psi vanishes.
+
+    ``residual`` is r = P psi for the projector P = I - y y^T, and d =
+    psi . psi, so the cost is C = (r . r) / d.  It equals 1 - (y . psi)^2 / d
+    but keeps its digits near a solution, where that difference of two
+    numbers close to 1 cannot go below about 1e-16.  Where psi moves along
+    M, the residual moves along P M and sqrt(d) along psi^T M / sqrt(d), so
+    J_f = (P M - r (psi^T M) / d) / sqrt(d).  Exact mode reads r and P M off
+    the projected matrix P S; shots mode projects its sampled psi and M.
     """
     denom = float(psi @ psi)
     if denom < 1e-280:
         return 1.0, None
-    residual = psi - float(y @ psi) * y
 
-    def jacobian(moves: np.ndarray) -> tuple:
-        projected = moves - y[:, None] * (y @ moves)
+    def jacobian(moves: np.ndarray, projected: np.ndarray) -> tuple:
         scale = math.sqrt(denom)
         return (residual / scale,
                 (projected - residual[:, None] * ((psi @ moves) / denom)) / scale)
@@ -327,14 +340,23 @@ def _residual(psi: np.ndarray, y: np.ndarray) -> tuple:
 def _residual_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig) -> Callable:
     """Point function of the exact cost (:func:`_residual`) of psi = S v: a
     point is one forward pass, and its thunk returns f and the Jacobian of f
-    there, from psi's Jacobian S J_v."""
+    there.  S and P S are stacked once, so one product with v gives psi and
+    r, and one with J_v gives S J_v and P S J_v."""
+    size = matrix.shape[0]
+    stacked = np.concatenate((matrix, _project(y, matrix)))
 
     def point(theta: np.ndarray) -> tuple:
         state, state_jacobian = _trial(config, theta)
-        cost, jacobian = _residual(matrix @ state, y)
+        both = stacked @ state
+        cost, jacobian = _residual(both[:size], both[size:])
         if jacobian is None:
             raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-        return cost, lambda: jacobian(matrix @ state_jacobian())
+
+        def residual_jacobian() -> tuple:
+            moves = stacked @ state_jacobian()
+            return jacobian(moves[:size], moves[size:])
+
+        return cost, residual_jacobian
 
     return point
 
@@ -385,13 +407,13 @@ def _shots_point(matrix: np.ndarray, y: np.ndarray, config: AnsatzConfig, shots:
     def point(theta: np.ndarray) -> tuple:
         state, state_jacobian = _trial(config, theta)
         psi = sample(state[:, None])[:, 0]
-        cost, jacobian = _residual(psi, y)
+        cost, jacobian = _residual(psi, _project(y, psi))
 
         def sampled_jacobian() -> tuple:
             moves = _sampled_moves(config, state, state_jacobian(), sample)
             if jacobian is None:
                 return np.zeros_like(psi), np.zeros_like(moves)
-            return jacobian(moves)
+            return jacobian(moves, _project(y, moves))
 
         return cost, sampled_jacobian
 
@@ -504,17 +526,20 @@ def _levenberg_marquardt(point: Callable, theta0: np.ndarray, max_iter: int) -> 
     cost, jacobian = point(theta)
     points, jacobians = 1, 0
     trace = [cost]
-    damping, identity = DAMPING_START, np.eye(theta.size)
+    damping = DAMPING_START
     eps2 = np.finfo(float).eps ** 2
     while jacobians < max_iter:
         residual, jac = jacobian()
         jacobians += 1
         if cost <= residual.size * eps2:
             return theta, cost, trace, "floor", points, jacobians
-        grad, normal = jac.T @ residual, jac.T @ jac
+        descent, normal = -(jac.T @ residual), jac.T @ jac
+        # J^T J + lam I, damped in place on a view of its diagonal
+        gram, diagonal = normal.diagonal().copy(), normal.reshape(-1)[::theta.size + 1]
         while True:
+            np.add(gram, damping, out=diagonal)
             try:
-                step = np.linalg.solve(normal + damping * identity, -grad)
+                step = np.linalg.solve(normal, descent)
             except np.linalg.LinAlgError:
                 new_cost = math.inf
             else:

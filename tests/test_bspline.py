@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspline import bspline, pipeline
+from qspline.functions import sample_grid
 
 
 def test_uniform_knots_layout():
@@ -120,3 +121,17 @@ def test_bidiagonal_scaling_equilibrates_every_spline_system(knots):
     ones = (np.diag(system.entries, 1) != 0.0).astype(float)
     assert np.max(np.abs(scaled - np.eye(knots) - np.diag(ones, 1))) <= 4.4e-16
     assert np.linalg.cond(scaled) <= 100.0
+
+
+@pytest.mark.parametrize("knots", pipeline._ALLOWED_KNOTS)
+def test_build_system_returns_the_same_read_only_arrays_on_every_call(knots):
+    system, grid = bspline.build_system(knots)
+    again = bspline.build_system(knots)
+    assert again[0] is system and again[1] is grid
+    for array in (system.entries, grid):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+    fresh_grid = sample_grid(knots, (0.0, 1.0))
+    fresh = bspline.design_matrix_d1(fresh_grid).entries
+    assert system.entries.tobytes() == fresh.tobytes()
+    assert grid.tobytes() == fresh_grid.tobytes()

@@ -219,7 +219,9 @@ def test_shots_cost_equals_the_hadamard_test_circuits(knots, kind, monkeypatch):
                 moves = (shifted[:, :P] - shifted[:, P:]) / 4.0
             else:
                 moves = shifted / 2.0
-            want_f, want_jac = vqls._residual(psi, y)[1](moves)
+            # shots mode projects its sampled psi and moves onto y's complement
+            want_f, want_jac = vqls._residual(psi, psi - float(y @ psi) * y)[1](
+                moves, moves - y[:, None] * (y @ moves))
             assert f.tobytes() == want_f.tobytes() and jac.tobytes() == want_jac.tobytes()
 
 
@@ -263,21 +265,34 @@ def _reference_state(config, theta):
     return vec
 
 
-def _reference_terms(matrix, y, v):
-    """Single-point exact cost at state ``v`` and its terms ``(C, psi, r, d)``:
-    ``psi = S @ v``, ``d = psi @ psi``, the residual ``r = psi - (y @ psi) y``
-    and ``C``, its squared norm over ``d``."""
-    psi = matrix @ v
+def _cost_terms(psi, residual):
+    """The cost and its terms ``(C, psi, r, d)``: ``d = psi @ psi`` and ``C``,
+    the residual's squared norm over ``d``."""
     denom = float(psi @ psi)
     if denom < 1e-280:
         raise ValueError("S V(theta)|0> vanished; the system matrix is singular")
-    residual = psi - float(y @ psi) * y
     return min(float(residual @ residual) / denom, 1.0), psi, residual, denom
+
+
+def _reference_terms(matrix, y, v):
+    """Single-point cost terms at state ``v`` with the residual of shots
+    mode, ``r = psi - (y @ psi) y`` for ``psi = S @ v``."""
+    psi = matrix @ v
+    return _cost_terms(psi, psi - float(y @ psi) * y)
+
+
+def _projected_terms(matrix, y, v):
+    """Single-point cost terms at state ``v`` with the residual of exact
+    mode: ``psi = S @ v`` and ``r = (S - y (y^T S)) @ v``, both rows of one
+    product of the stacked ``[S; S - y (y^T S)]`` with ``v``."""
+    stacked = np.vstack((matrix, matrix - np.outer(y, y @ matrix)))
+    psi, residual = np.split(stacked @ v, 2)
+    return _cost_terms(psi, residual)
 
 
 def _reference_cost(matrix, y, config, theta):
     """Single-point exact cost at the reference state of ``theta``."""
-    return _reference_terms(matrix, y, _reference_state(config, theta))[0]
+    return _projected_terms(matrix, y, _reference_state(config, theta))[0]
 
 
 _FD_STEP = 1e-4  # step of the central-difference references
@@ -343,7 +358,7 @@ def test_residual_point_costs_equal_the_per_point_formula(knots, kind, monkeypat
 
 @pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
 @pytest.mark.parametrize("kind", ["tree", "layered"])
-def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
+def test_residual_jacobian_matches_central_differences(knots, kind, monkeypatch):
     # the gradient of C = f . f is 2 J_f^T f, the Jacobian's adjoint applied
     # to the residual f
     matrix, y, config = _elu_system(knots, kind)
@@ -367,6 +382,8 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         # after it, and leaves that point's forward pass as it was
         point(elsewhere)[1]()
         f, jac = residual_jacobian()
+        _, _, residual, denom = _projected_terms(matrix, y, state)
+        assert f.tobytes() == (residual / math.sqrt(denom)).tobytes()
         assert f @ f == pytest.approx(cost, rel=1e-13)
         want = _reference_gradient(
             lambda t: _reference_cost(matrix, y, config, t), theta, _FD_STEP
@@ -377,6 +394,27 @@ def test_adjoint_gradient_matches_central_differences(knots, kind, monkeypatch):
         # each point is one forward pass and each thunk call one Jacobian
         assert calls == {"_trial": 2, "jacobian": 3}
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("knots", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["tree", "layered"])
+def test_the_projected_residual_is_the_direct_one_to_rounding(knots, kind):
+    # exact mode reads r off the product of P S with v, and shots mode forms
+    # psi - (y . psi) y from psi; on the systems a fit solves the two agree
+    # entrywise within 4 eps |psi|, which is why exact fits move only in the
+    # last bits between the two forms
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for name in sorted(TARGETS):
+        matrix, y, config = _scaled_system(name, knots, kind)
+        thetas = np.random.default_rng(300 + knots).uniform(0.0, 2.0 * np.pi,
+                                                            (24, config.n_params))
+        for theta in thetas:
+            state = vqls._trial(config, theta)[0]
+            _, psi, projected, _ = _projected_terms(matrix, y, state)
+            direct = _reference_terms(matrix, y, state)[2]
+            worst = max(worst, np.max(np.abs(projected - direct)) / (eps * np.linalg.norm(psi)))
+    assert worst <= 4.0
 
 
 def _reference_tree_gradient(matrix, theta, terms):
@@ -595,6 +633,18 @@ def test_a_vanishing_row_raises_the_singular_error(row, monkeypatch):
     assert calls == {"_trial": 2, "jacobian": 0}
     with pytest.raises(ValueError, match=message):
         vqls.cost_global(matrix, y, config, thetas[row])
+
+
+@pytest.mark.filterwarnings("error")
+def test_shots_mode_refuses_a_zero_row_by_its_number():
+    # in the readout's words, before any 0 / 0 warns or numpy's sampler
+    # refuses the nan probability
+    config = vqls.AnsatzConfig(n_qubits=2, kind="tree")
+    with pytest.raises(ValueError, match="^row 1 is zero and cannot be normalized$"):
+        vqls.cost_global(np.diag([0.0, 1.0, 1.0, 1.0]), [0.0, 1.0, 0.0, 0.0], config,
+                         [0.3, 0.4, 0.5], mode="shots", shots=100, seed=1)
+    with pytest.raises(ValueError, match="^row 3 is zero and cannot be normalized$"):
+        sim.sample_rows(np.diag([1.0, 1.0, 0.0, 1.0]), np.eye(4), 100, 1)
 
 
 @pytest.mark.parametrize("kind", ["tree", "layered"])

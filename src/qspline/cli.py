@@ -168,6 +168,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         settings[key] = next((value for value in given if value is not None), default)
     if "\0" in settings["out"]:
         raise UsageError(f"output directory {settings['out']!r} holds a NUL byte")
+    if not settings["out"]:
+        raise UsageError("output directory is empty")
     return settings
 
 

@@ -459,9 +459,11 @@ def test_bad_fit_settings_are_usage_errors(tmp_path, capsys, command, flags):
                          [("fit", "ansatz=brick", None), ("fit", "layers=2", None),
                           ("fit", "degree=1", None), ("fit", "seed=-1", None),
                           ("fit", "", "-1"), ("fit", "mode=classical", None),
-                          ("fit", "out=a\0b", None), ("bench", "out=a\0b", None)],
+                          ("fit", "out=a\0b", None), ("bench", "out=a\0b", None),
+                          ("fit", "out=", None), ("bench", "out=", None)],
                          ids=["ansatz-word", "layers-key", "degree-key", "seed-config",
-                              "seed-env", "mode-classical", "out-nul-fit", "out-nul-bench"])
+                              "seed-env", "mode-classical", "out-nul-fit", "out-nul-bench",
+                              "out-empty-fit", "out-empty-bench"])
 def test_bad_settings_from_a_file_or_the_environment_are_usage_errors(
         tmp_path, capsys, monkeypatch, command, config, env):
     if env is None:
